@@ -22,9 +22,8 @@
 // Reports client-observed p50/p99 and solves/sec into BENCH_serve.json
 // (BENCH_serve_ci.json with --ci). The --ci gates are deterministic:
 // bit-identity on every response, exactly one fresh solve per herd
-// equivalence class, 100% warm hits, an extra --no-coalesce pass staying
-// bit-identical, and a clean signal-driven drain. Latency numbers are
-// reported, never gated (CI hosts are noisy).
+// equivalence class, 100% warm hits, and a clean signal-driven drain.
+// Latency numbers are reported, never gated (CI hosts are noisy).
 #include <unistd.h>
 
 #include <algorithm>
@@ -325,26 +324,6 @@ int main(int argc, char** argv) {
   const bool persisted = server.cache_persisted() && store != nullptr;
   if (store != nullptr) std::fclose(store);
 
-  // --no-coalesce control: duplicates solve independently, answers are
-  // STILL bit-identical (run_phase checks every response).
-  serve::ServeConfig nc_config;
-  nc_config.coalesce = false;
-  serve::SynthServer nc_server(nc_config);
-  std::string nc_unix;
-  int nc_port = -1;
-  if (use_tcp) {
-    nc_port = nc_server.bind_tcp(0);
-  } else {
-    nc_unix = sock_path + ".nc";
-    nc_server.bind_unix(nc_unix);
-  }
-  std::thread nc_thread([&nc_server] { nc_server.run(); });
-  std::vector<Request> nc_requests(herd.begin(),
-                                   herd.begin() + herd_classes * 2);
-  const auto nc_out = run_phase(nc_unix, nc_port, nc_requests, 2);
-  nc_server.request_shutdown();
-  nc_thread.join();
-
   // Deterministic gates.
   int failures = 0;
   auto gate = [&](bool ok, const char* what) {
@@ -364,8 +343,6 @@ int main(int argc, char** argv) {
   gate(warm_sum.hits == warm_sum.n, "warm phase: 100% cache hits");
   gate(stats.errors == 0, "no error frames");
   gate(persisted, "SIGTERM drain persisted the cache store");
-  gate(nc_out.size() == nc_requests.size(),
-       "--no-coalesce pass answered (bit-identity checked per response)");
 
   const char* json_name = ci_mode ? "BENCH_serve_ci.json" : "BENCH_serve.json";
   FILE* out = std::fopen(json_name, "w");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "mrpf/common/error.hpp"
@@ -97,9 +98,13 @@ core::SynthPlan canonical_plan_of(core::Scheme scheme, const CanonicalBank& cb,
 /// Inverse of canonical_plan_of: maps a canonical MRP plan back onto the
 /// requester's bank through its back-references — the same transform
 /// core::build_mrp_block applies, so the rehydrated plan is
-/// field-for-field identical to a fresh solve of `bank`.
-void rehydrate_mrp_plan(const std::vector<i64>& bank, CanonicalBank&& cb,
-                        core::SynthPlan& plan) {
+/// field-for-field identical to a fresh solve of `bank`. The stored plan
+/// is canonical (per-vertex taps, identity refs); only this per-coefficient
+/// back-transform depends on the original vector. Identity-group plans are
+/// exact as stored.
+void rehydrate(core::Scheme scheme, const std::vector<i64>& bank,
+               CanonicalBank&& cb, core::SynthPlan& plan) {
+  if (!uses_mrp_canonical_form(scheme)) return;
   std::vector<arch::Tap> taps(bank.size());
   for (std::size_t i = 0; i < bank.size(); ++i) {
     const core::PrimaryBank::Ref& ref = cb.refs[i];
@@ -208,10 +213,24 @@ void SolveCache::count_lookup(core::Scheme scheme, bool hit) {
   }
 }
 
-bool SolveCache::try_get_plan(const std::vector<i64>& bank,
-                              core::Scheme scheme,
-                              const core::MrpOptions& options,
-                              core::SynthPlan& out) {
+SolveCache::LruIter SolveCache::find_locked(
+    Shard& shard, u64 key, const SolveOptionsTag& tag,
+    const std::vector<i64>& canonical) {
+  const auto it = shard.index.find(key);
+  // Verify, never trust the hash: a different canonical vector or options
+  // tag under the same 64-bit key is a miss.
+  if (it == shard.index.end() || !(it->second->tag == tag) ||
+      it->second->canonical != canonical) {
+    return shard.lru.end();
+  }
+  return it->second;
+}
+
+core::SynthPlan SolveCache::get_or_compute(
+    const std::vector<i64>& bank, core::Scheme scheme,
+    const core::MrpOptions& options,
+    const std::function<core::SynthPlan()>& compute, core::SolveInfo* info) {
+  if (info != nullptr) *info = core::SolveInfo{};
   const auto start = Clock::now();
   CanonicalBank cb = canonicalize(scheme, bank);
   if (is_trivial_bank(cb.values)) {
@@ -220,41 +239,104 @@ bool SolveCache::try_get_plan(const std::vector<i64>& bank,
     // trivial always equals the lookup count and lookup_ns stays honest.
     trivial_.fetch_add(1, std::memory_order_relaxed);
     lookup_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
-    return false;
+    return compute();
   }
   const SolveOptionsTag tag = options_tag(scheme, options);
   const u64 key = cache::solve_key(cb.content_hash, tag);
   Shard& shard = shard_of(key);
+  const std::thread::id self = std::this_thread::get_id();
+  core::SynthPlan out;
   bool hit = false;
+  std::shared_ptr<Flight> join;
+  std::shared_ptr<Flight> lead;
   {
     const std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    // Verify, never trust the hash: a different canonical vector or
-    // options tag under the same 64-bit key is a miss.
-    if (it != shard.index.end() && it->second->tag == tag &&
-        it->second->canonical == cb.values) {
-      shard.lru.splice(shard.lru.end(), shard.lru, it->second);  // touch
-      out = it->second->plan.clone();
+    const LruIter it = find_locked(shard, key, tag, cb.values);
+    const auto flying = shard.flights.find(key);
+    if (it != shard.lru.end()) {
+      shard.lru.splice(shard.lru.end(), shard.lru, it);  // touch
+      out = it->plan.clone();
       hit = true;
+    } else if (flying == shard.flights.end()) {
+      lead = std::make_shared<Flight>();
+      lead->tag = tag;
+      lead->canonical = cb.values;
+      lead->leader = self;
+      lead->result = lead->done.get_future().share();
+      shard.flights.emplace(key, lead);
+    } else if (flying->second->leader != self &&
+               flying->second->tag == tag &&
+               flying->second->canonical == cb.values) {
+      join = flying->second;
+      joins_.fetch_add(1, std::memory_order_relaxed);
     }
+    // Otherwise this thread already leads the key (or a 64-bit collision
+    // holds it): solve without single-flight below.
   }
-  if (hit && uses_mrp_canonical_form(scheme)) {
-    // Rehydrate: the stored plan is canonical (per-vertex taps, identity
-    // refs); only the per-coefficient back-transform depends on the
-    // original vector. Identity-group plans are exact as stored.
-    rehydrate_mrp_plan(bank, std::move(cb), out);
-  }
-  count_lookup(scheme, hit);
   lookup_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
-  return hit;
+
+  if (hit || join != nullptr) {
+    if (join != nullptr) {
+      const std::shared_ptr<const core::SynthPlan>& plan = join->result.get();
+      // The leader failed: rethrow its message as this thread's own Error.
+      if (plan == nullptr) throw Error(join->error);
+      out = plan->clone();
+    }
+    rehydrate(scheme, bank, std::move(cb), out);
+    count_lookup(scheme, true);
+    if (info != nullptr) {
+      info->cache_hit = true;
+      info->joined = join != nullptr;
+    }
+    return out;
+  }
+  count_lookup(scheme, false);
+  const auto abandon = [&](const char* why) {
+    if (lead == nullptr) return;
+    {
+      const std::lock_guard<std::mutex> lock(shard.mu);
+      shard.flights.erase(key);
+    }
+    lead->error = why;
+    lead->done.set_value(nullptr);
+  };
+  try {
+    out = compute();
+    const auto stored = Clock::now();
+    Entry entry = make_entry(scheme, bank, cb, tag, key, out);
+    std::shared_ptr<const core::SynthPlan> published;
+    if (lead != nullptr) {
+      published = std::make_shared<const core::SynthPlan>(entry.plan.clone());
+    }
+    {
+      // Store, then retire the flight, under one lock: a caller arriving
+      // from now on finds the entry. Idempotent: the flow's solve and
+      // mrp_optimize's memo nested in it can both store one key — the
+      // second offer is a no-op (and not an insert), so counters stay
+      // one-insert-per-miss.
+      const std::lock_guard<std::mutex> lock(shard.mu);
+      if (find_locked(shard, key, tag, entry.canonical) == shard.lru.end()) {
+        insert_locked(shard, std::move(entry));
+      }
+      if (lead != nullptr) shard.flights.erase(key);
+    }
+    insert_ns_.fetch_add(elapsed_ns(stored), std::memory_order_relaxed);
+    if (lead != nullptr) lead->done.set_value(std::move(published));
+  } catch (const std::exception& e) {
+    abandon(e.what());
+    throw;
+  } catch (...) {
+    abandon("solve cache: the leading solve threw a non-standard exception");
+    throw;
+  }
+  return out;
 }
 
-void SolveCache::put_plan(const std::vector<i64>& bank, core::Scheme scheme,
-                          const core::MrpOptions& options,
-                          const core::SynthPlan& plan) {
-  const auto start = Clock::now();
-  CanonicalBank cb = canonicalize(scheme, bank);
-  if (is_trivial_bank(cb.values)) return;
+SolveCache::Entry SolveCache::make_entry(core::Scheme scheme,
+                                         const std::vector<i64>& bank,
+                                         const CanonicalBank& cb,
+                                         const SolveOptionsTag& tag, u64 key,
+                                         const core::SynthPlan& plan) {
   MRPF_CHECK(plan.scheme == scheme,
              "solve cache: plan scheme does not match the offer");
   MRPF_CHECK(plan.taps.size() == bank.size(),
@@ -265,34 +347,14 @@ void SolveCache::put_plan(const std::vector<i64>& bank, core::Scheme scheme,
     MRPF_CHECK(!plan.mrp.has_value() || plan.mrp->vertices == cb.values,
                "solve cache: result does not belong to this bank");
   }
-  const SolveOptionsTag tag = options_tag(scheme, options);
-  const u64 key = cache::solve_key(cb.content_hash, tag);
-  {
-    // Idempotent re-offer: the flow layer and mrp_optimize's internal
-    // memoization can both publish the same solve — the second offer is
-    // a no-op (and not an insert), so counters stay one-insert-per-miss.
-    Shard& shard = shard_of(key);
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end() && it->second->tag == tag &&
-        it->second->canonical == cb.values) {
-      return;
-    }
-  }
   Entry entry;
   entry.tag = tag;
   entry.key = key;
   entry.plan = canonical_plan_of(scheme, cb, plan);
-  entry.canonical = std::move(cb.values);
+  entry.canonical = cb.values;
   entry.bytes = approx_plan_bytes(entry.plan) +
                 entry.canonical.size() * sizeof(i64) + sizeof(Entry);
-  insert_entry(std::move(entry));
-  insert_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
-}
-
-u64 SolveCache::plan_key(const std::vector<i64>& bank, core::Scheme scheme,
-                         const core::MrpOptions& options) const {
-  return cache::solve_key(scheme, bank, options);
+  return entry;
 }
 
 bool SolveCache::insert_canonical(const SolveOptionsTag& tag,
@@ -309,35 +371,33 @@ bool SolveCache::insert_canonical(const SolveOptionsTag& tag,
   entry.plan = std::move(plan);
   entry.bytes = approx_plan_bytes(entry.plan) +
                 entry.canonical.size() * sizeof(i64) + sizeof(Entry);
-  insert_entry(std::move(entry));
+  Shard& shard = shard_of(entry.key);
+  const std::lock_guard<std::mutex> lock(shard.mu);
+  insert_locked(shard, std::move(entry));
   return true;
 }
 
-void SolveCache::insert_entry(Entry&& entry) {
-  Shard& shard = shard_of(entry.key);
+void SolveCache::insert_locked(Shard& shard, Entry&& entry) {
   const std::size_t budget = config_.max_bytes / shards_.size();
   u64 evicted = 0;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(entry.key);
-    if (it != shard.index.end()) {
-      // Same key already cached (a racing worker solved it first, or a
-      // true 64-bit collision): newest wins, footprint re-accounted.
-      shard.bytes -= it->second->bytes;
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-    }
-    shard.bytes += entry.bytes;
-    const u64 key = entry.key;
-    shard.lru.push_back(std::move(entry));
-    shard.index[key] = std::prev(shard.lru.end());
-    while (shard.bytes > budget && shard.lru.size() > 1) {
-      const Entry& oldest = shard.lru.front();
-      shard.bytes -= oldest.bytes;
-      shard.index.erase(oldest.key);
-      shard.lru.pop_front();
-      ++evicted;
-    }
+  const auto it = shard.index.find(entry.key);
+  if (it != shard.index.end()) {
+    // Same key already cached (a true 64-bit collision, or a reload):
+    // newest wins, footprint re-accounted.
+    shard.bytes -= it->second->bytes;
+    shard.lru.erase(it->second);
+    shard.index.erase(it);
+  }
+  shard.bytes += entry.bytes;
+  const u64 key = entry.key;
+  shard.lru.push_back(std::move(entry));
+  shard.index[key] = std::prev(shard.lru.end());
+  while (shard.bytes > budget && shard.lru.size() > 1) {
+    const Entry& oldest = shard.lru.front();
+    shard.bytes -= oldest.bytes;
+    shard.index.erase(oldest.key);
+    shard.lru.pop_front();
+    ++evicted;
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
   if (evicted > 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
@@ -350,6 +410,7 @@ CacheStats SolveCache::stats() const {
   s.trivial = trivial_.load(std::memory_order_relaxed);
   s.inserts = inserts_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
+  s.joins = joins_.load(std::memory_order_relaxed);
   s.lookup_ns =
       static_cast<double>(lookup_ns_.load(std::memory_order_relaxed));
   s.insert_ns =
@@ -361,6 +422,7 @@ CacheStats SolveCache::stats() const {
   for (const Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mu);
     s.entries += shard.lru.size();
+    s.in_flight += shard.flights.size();
     s.bytes += shard.bytes;
   }
   return s;

@@ -1,10 +1,14 @@
 #include "mrpf/common/env.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 
 namespace mrpf::env {
@@ -21,21 +25,59 @@ std::set<std::string>& warned_keys() {
   return keys;
 }
 
+/// The value of `p` when all of it is one or more decimal digits
+/// (saturating at LLONG_MAX, so no digit string can overflow), else
+/// nullopt.
+std::optional<long long> parse_digits(const char* p) {
+  if (p == nullptr || *p == '\0') return std::nullopt;
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  long long parsed = 0;
+  for (; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return std::nullopt;
+    const int digit = *p - '0';
+    parsed = parsed > (kMax - digit) / 10 ? kMax : parsed * 10 + digit;
+  }
+  return parsed;
+}
+
 }  // namespace
 
 ParsedInt parse_positive_int(const char* value, long long clamp_max) {
   ParsedInt out;
-  if (value == nullptr || value[0] == '\0') return out;
-  long long parsed = 0;
-  for (const char* p = value; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return out;
-    // Cap accumulation well above every knob's clamp so absurdly long digit
-    // strings can't overflow `long long` before the clamp applies.
-    if (parsed <= clamp_max) parsed = parsed * 10 + (*p - '0');
-  }
-  if (parsed < 1) return out;
+  const std::optional<long long> parsed = parse_digits(value);
+  if (!parsed.has_value() || *parsed < 1) return out;
   out.well_formed = true;
-  out.value = parsed > clamp_max ? clamp_max : parsed;
+  out.value = std::min(*parsed, clamp_max);
+  return out;
+}
+
+ParsedInt parse_int_in_range(const char* value, long long lo, long long hi) {
+  ParsedInt out;
+  if (value == nullptr) return out;
+  const bool negative = value[0] == '-';
+  const std::optional<long long> magnitude =
+      parse_digits(negative ? value + 1 : value);
+  if (!magnitude.has_value()) return out;
+  const long long parsed = negative ? -*magnitude : *magnitude;
+  if (parsed < lo || parsed > hi) return out;
+  out.well_formed = true;
+  out.value = parsed;
+  return out;
+}
+
+ParsedDouble parse_double_in_range(const char* value, double lo, double hi) {
+  ParsedDouble out;
+  if (value == nullptr || value[0] == '\0' ||
+      std::isspace(static_cast<unsigned char>(value[0])) != 0) {
+    return out;
+  }
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (*end != '\0' || !std::isfinite(parsed) || parsed < lo || parsed > hi) {
+    return out;
+  }
+  out.well_formed = true;
+  out.value = parsed;
   return out;
 }
 

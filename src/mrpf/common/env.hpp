@@ -16,6 +16,23 @@ struct ParsedInt {
 /// clamp to `clamp_max`. A null/empty/garbage string is not well-formed.
 ParsedInt parse_positive_int(const char* value, long long clamp_max);
 
+/// The same digit grammar for command-line flags, with an optional leading
+/// '-' and a range check in place of the clamp: well-formed iff the whole
+/// string is [-]digits and its value lies in [lo, hi] (hi < LLONG_MAX).
+/// "257" for a [0, 8] flag is rejected, never wrapped or clamped.
+ParsedInt parse_int_in_range(const char* value, long long lo, long long hi);
+
+/// Result of parse_double_in_range.
+struct ParsedDouble {
+  bool well_formed = false;
+  double value = 0.0;
+};
+
+/// Whole-string decimal number for command-line flags: strtod syntax with
+/// no leading whitespace and nothing after the number ("0.5x" is not
+/// well-formed), finite, within [lo, hi].
+ParsedDouble parse_double_in_range(const char* value, double lo, double hi);
+
 /// Case-insensitive comparison against an all-lowercase literal — used for
 /// the "off" spelling of disable knobs.
 bool equals_ignore_case(const char* value, const char* lower);

@@ -15,6 +15,9 @@ int hardware_default() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
+/// The job whose index this thread is running (null outside any job).
+thread_local const void* t_running_job = nullptr;
+
 }  // namespace
 
 namespace detail {
@@ -73,6 +76,8 @@ void ThreadPool::worker_loop() {
 void ThreadPool::run_job(Job& job, std::unique_lock<std::mutex>& lk) {
   ++job.drainers;
   lk.unlock();
+  const void* const enclosing = t_running_job;
+  t_running_job = &job;
   for (;;) {
     const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= job.n) break;
@@ -84,6 +89,7 @@ void ThreadPool::run_job(Job& job, std::unique_lock<std::mutex>& lk) {
     }
     job.done.fetch_add(1, std::memory_order_acq_rel);
   }
+  t_running_job = enclosing;
   lk.lock();
   --job.drainers;
   if (job.listed) {
@@ -104,25 +110,37 @@ void ThreadPool::parallel_for(std::size_t n,
   Job job;
   job.fn = &fn;
   job.n = n;
+  job.parent = static_cast<const Job*>(t_running_job);
   std::unique_lock<std::mutex> lk(mu_);
   job.listed = true;
   active_.push_back(&job);
   cv_work_.notify_all();
   cv_done_.notify_all();  // publishers blocked in the help loop below
   run_job(job, lk);
-  // Straggler wait — but keep helping: while another job (typically one
-  // published by a worker still running one of *our* indices) has
-  // unclaimed work, drain it instead of sleeping.
+  // Straggler wait — but keep helping: while a job published from inside
+  // one of *our* indices has unclaimed work, drain it instead of sleeping.
+  // Enclosing and unrelated jobs are left to the other threads.
   while (!job_finished(job)) {
-    if (!active_.empty()) {
-      run_job(*active_.back(), lk);
+    if (Job* const inner = listed_descendant(job)) {
+      run_job(*inner, lk);
       continue;
     }
-    cv_done_.wait(lk, [&] { return job_finished(job) || !active_.empty(); });
+    cv_done_.wait(lk, [&] {
+      return job_finished(job) || listed_descendant(job) != nullptr;
+    });
   }
   const std::exception_ptr err = job.error;
   lk.unlock();
   if (err) std::rethrow_exception(err);
+}
+
+ThreadPool::Job* ThreadPool::listed_descendant(const Job& job) const {
+  for (auto it = active_.rbegin(); it != active_.rend(); ++it) {
+    for (const Job* p = (*it)->parent; p != nullptr; p = p->parent) {
+      if (p == &job) return *it;
+    }
+  }
+  return nullptr;
 }
 
 ThreadPool& shared_thread_pool() {

@@ -8,10 +8,16 @@
 //   * stages *inside* a solve (sharded color-graph construction, set-cover
 //     seeding) call `parallel_for` again on the same pool. Nested calls are
 //     safe: the calling worker publishes the inner loop as a new job, drains
-//     it inline itself, and any worker that is idle (or blocked waiting for
-//     its own job to finish) steals indices from it. There is never a second
-//     pool and never a deadlock — a nested publisher always makes progress
-//     on its own job.
+//     it inline itself, and idle workers steal indices from it. There is
+//     never a second pool and never a deadlock — a nested publisher always
+//     makes progress on its own job.
+//
+// A publisher waiting for the last indices of its job to finish helps only
+// that job and jobs published from inside it, never an enclosing or
+// unrelated job. A batch item that leads a single-flight solve
+// (cache/solve_cache.hpp) and waits on its colour-graph shards therefore
+// never picks up another batch item, which could join the flight the
+// waiting item itself leads.
 //
 // Thread count resolution: explicit argument > MRPF_THREADS environment
 // variable > std::thread::hardware_concurrency(). A pool of size 1 never
@@ -69,7 +75,9 @@ class ThreadPool {
   ///
   /// Reentrant: fn may itself call parallel_for on the same pool. The
   /// nested loop is published as an independent job that the calling
-  /// thread drains inline while idle workers steal shares of it.
+  /// thread drains inline while idle workers steal shares of it. While
+  /// the caller waits for stragglers it runs only its own job's
+  /// descendants (see the file comment).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -80,6 +88,9 @@ class ThreadPool {
   struct Job {
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t n = 0;
+    /// The job whose index the publisher was running when it published
+    /// (null at top level). Every ancestor outlives its descendants.
+    const Job* parent = nullptr;
     std::atomic<std::size_t> next{0};  // next unclaimed index
     std::atomic<std::size_t> done{0};  // indices whose fn() returned
     int drainers = 0;                  // threads inside run_job (mu_)
@@ -95,6 +106,9 @@ class ThreadPool {
     return job.drainers == 0 &&
            job.done.load(std::memory_order_acquire) == job.n;
   }
+  /// Newest listed job published from inside `job` (at any depth), or
+  /// null. Requires mu_.
+  Job* listed_descendant(const Job& job) const;
 
   int num_threads_ = 1;
   std::vector<std::thread> workers_;

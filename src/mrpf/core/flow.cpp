@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "mrpf/cache/session.hpp"
@@ -32,28 +31,20 @@ std::optional<cache::SolveCacheSession> open_cache_session(MrpOptions& opts) {
 }
 
 /// One (bank, scheme, options) synthesis through the unified pipeline:
-/// cache probe → driver optimize (publishing the fresh plan) → plan
-/// passes (the e-graph rewriter, when enabled) → the one shared lowering
-/// path. `options` must already be the driver's canonical options. Passes
-/// run between optimize and the cache put, so cached plans are post-pass
-/// and a hit rehydrates the rewritten plan bit-identically. On a hit the
-/// plan's optimize/stage timers travel from the original solve; the
-/// lowering sample is always from this call.
+/// single-flight cache lookup → driver optimize → plan passes (the e-graph
+/// rewriter, when enabled) → the one shared lowering path. `options` must
+/// already be the driver's canonical options. Passes run inside the
+/// cached computation, so cached plans are post-pass and a hit rehydrates
+/// the rewritten plan bit-identically. On a hit the plan's optimize/stage
+/// timers travel from the original solve; the lowering sample is always
+/// from this call.
 SchemeResult solve_and_lower(const std::vector<i64>& bank,
                              const SchemeDriver& driver,
                              const MrpOptions& options,
                              SolveInfo* info = nullptr) {
-  const Scheme scheme = driver.scheme();
-  SchemeResult out;
-  out.scheme = scheme;
-  SynthPlan plan;
-  bool cached = false;
-  if (options.cache != nullptr) {
-    cached = options.cache->try_get_plan(bank, scheme, options, plan);
-  }
-  if (info != nullptr) info->cache_hit = cached;
-  if (!cached) {
+  const auto compute = [&] {
     StageSample optimize;
+    SynthPlan plan;
     {
       const StageStopwatch watch(optimize);
       plan = driver.optimize(bank, options);
@@ -61,9 +52,17 @@ SchemeResult solve_and_lower(const std::vector<i64>& bank,
     optimize.items = static_cast<std::uint64_t>(bank.size());
     plan.timers.optimize = optimize;
     apply_plan_passes(bank, options, plan);
-    if (options.cache != nullptr) {
-      options.cache->put_plan(bank, scheme, options, plan);
-    }
+    return plan;
+  };
+  SchemeResult out;
+  out.scheme = driver.scheme();
+  SynthPlan plan;
+  if (options.cache != nullptr) {
+    plan = options.cache->get_or_compute(bank, out.scheme, options, compute,
+                                         info);
+  } else {
+    plan = compute();
+    if (info != nullptr) *info = SolveInfo{};
   }
   StageSample lowering;
   {
@@ -107,31 +106,8 @@ std::vector<SchemeResult> optimize_bank_batch(
   eff.pool = &pool;
   const auto session = open_cache_session(eff);
 
-  // With a cache live, group jobs by solve fingerprint so each
-  // equivalence class is solved live at most once per batch — group
-  // members after the first rehydrate from the cache, which preserves
-  // bit-identity because cached == fresh. Groups run in parallel, members
-  // sequentially, and every result slot is written only by the worker
-  // that owns its group, so the batch is deterministic for every thread
-  // count.
-  std::vector<std::vector<std::size_t>> groups;
-  if (eff.cache != nullptr) {
-    std::unordered_map<u64, std::size_t> group_of;
-    groups.reserve(banks.size());
-    for (std::size_t i = 0; i < banks.size(); ++i) {
-      const u64 key = eff.cache->plan_key(banks[i], scheme, eff);
-      const auto [it, fresh] = group_of.try_emplace(key, groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-  } else {
-    groups.resize(banks.size());
-    for (std::size_t i = 0; i < banks.size(); ++i) groups[i].push_back(i);
-  }
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t i : groups[g]) {
-      results[i] = solve_and_lower(banks[i], driver, eff);
-    }
+  pool.parallel_for(banks.size(), [&](std::size_t i) {
+    results[i] = solve_and_lower(banks[i], driver, eff);
   });
   if (session.has_value()) session->save();
   return results;

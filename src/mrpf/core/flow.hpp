@@ -38,21 +38,16 @@ struct SchemeResult {
 SchemeResult optimize_bank(const std::vector<i64>& bank, Scheme scheme,
                            const MrpOptions& options = {});
 
-/// How a solve was actually served — observability the synthesis daemon
-/// surfaces per response (never part of the result: cached == fresh).
-struct SolveInfo {
-  bool cache_hit = false;  ///< Plan rehydrated from options.cache.
-};
-
-/// optimize_bank with service provenance reported through `info`
-/// (ignored when null). Results are bit-identical to the 3-arg overload.
+/// optimize_bank with service provenance (SolveInfo, core/mrp.hpp)
+/// reported through `info` (ignored when null). Results are bit-identical
+/// to the 3-arg overload.
 SchemeResult optimize_bank(const std::vector<i64>& bank, Scheme scheme,
                            const MrpOptions& options, SolveInfo* info);
 
 /// Batch front-end over independent banks: solves fan out through one
-/// thread pool (thread count from MRPF_THREADS) for every scheme, with
-/// jobs grouped by solve fingerprint when a cache is live so equivalent
-/// banks dedup to one live solve per batch. results[i] is identical to a
+/// thread pool (thread count from MRPF_THREADS) for every scheme. With a
+/// cache live, equivalent banks dedup to one live solve per batch through
+/// the cache's single-flight get_or_compute. results[i] is identical to a
 /// serial optimize_bank(banks[i], ...) regardless of thread count.
 std::vector<SchemeResult> optimize_bank_batch(
     const std::vector<std::vector<i64>>& banks, Scheme scheme,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -230,24 +229,12 @@ MrpResult MrpResult::clone() const {
   return c;
 }
 
-MrpResult mrp_optimize(const std::vector<i64>& constants,
-                       const MrpOptions& options) {
-  MRPF_CHECK(options.beta >= 0.0 && options.beta <= 1.0,
-             "mrp: beta outside [0,1]");
-  MRPF_CHECK(options.depth_limit >= 0, "mrp: negative depth limit");
-  MRPF_CHECK(options.recursive_levels >= 0 && options.recursive_levels <= 8,
-             "mrp: recursive_levels out of range");
+namespace {
 
-  // A hit is a rehydrated deep copy of an equivalent canonical solve —
-  // field-for-field identical to the fresh solve below, so the cache can
-  // never change a result, only skip recomputing it. Recursive SEED
-  // solves inherit `cache` through the nested options and memoize too
-  // (under their own key: recursive_levels differs).
-  if (options.cache != nullptr) {
-    MrpResult cached;
-    if (options.cache->try_get(constants, options, cached)) return cached;
-  }
-
+/// The uncached solve behind mrp_optimize. Recursive SEED solves go back
+/// through mrp_optimize, so they memoize too.
+MrpResult solve_mrp(const std::vector<i64>& constants,
+                    const MrpOptions& options) {
   MrpResult r;
   const auto t_begin = std::chrono::steady_clock::now();
   const auto finish_total = [&r, t_begin] {
@@ -406,76 +393,41 @@ MrpResult mrp_optimize(const std::vector<i64>& constants,
   r.timers.seed_synthesis.items =
       static_cast<std::uint64_t>(r.seed_values.size());
   finish_total();
-  if (options.cache != nullptr) options.cache->put(constants, options, r);
   return r;
-}
-
-namespace {
-
-/// Partitions batch indices into solve groups. Without a cache every index
-/// is its own group (the PR-2 grain). With a cache, indices whose
-/// (bank, options) share a canonical solve key — shift/sign/permutation-
-/// equivalent banks under identical solve options — land in one group, in
-/// first-appearance order. The batch runners execute a group sequentially
-/// on whichever worker claims it, so each equivalence class performs
-/// exactly one live solve per batch; every later member rehydrates the hit
-/// just inserted. Cached hits are field-for-field identical to fresh
-/// solves, so grouping (like thread count) never changes results[i].
-std::vector<std::vector<std::size_t>> solve_groups(
-    std::size_t n, const std::vector<i64>* const* banks,
-    const MrpOptions* const* options) {
-  std::vector<std::vector<std::size_t>> groups;
-  groups.reserve(n);
-  std::map<std::pair<const void*, u64>, std::size_t> group_of;
-  for (std::size_t i = 0; i < n; ++i) {
-    const MrpOptions& opts = *options[i];
-    if (opts.cache == nullptr) {
-      groups.push_back({i});
-      continue;
-    }
-    // Keyed per cache instance: keys from different caches (different
-    // hash seeds or option spaces are still one namespace per object)
-    // never alias across jobs that use distinct caches.
-    const std::pair<const void*, u64> key{
-        static_cast<const void*>(opts.cache),
-        opts.cache->solve_key(*banks[i], opts)};
-    const auto [it, inserted] = group_of.try_emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back({i});
-    } else {
-      groups[it->second].push_back(i);
-    }
-  }
-  return groups;
 }
 
 }  // namespace
 
+MrpResult mrp_optimize(const std::vector<i64>& constants,
+                       const MrpOptions& options) {
+  MRPF_CHECK(options.beta >= 0.0 && options.beta <= 1.0,
+             "mrp: beta outside [0,1]");
+  MRPF_CHECK(options.depth_limit >= 0, "mrp: negative depth limit");
+  MRPF_CHECK(options.recursive_levels >= 0 && options.recursive_levels <= 8,
+             "mrp: recursive_levels out of range");
+  if (options.cache == nullptr) return solve_mrp(constants, options);
+  // A hit or join is a rehydrated deep copy of an equivalent canonical
+  // solve — field-for-field identical to the fresh solve, so the cache can
+  // never change a result, only skip recomputing it. Recursive SEED solves
+  // memoize under their own key (recursive_levels differs).
+  return options.cache->get_or_compute_mrp(
+      constants, options, [&] { return solve_mrp(constants, options); });
+}
+
 std::vector<MrpResult> mrp_optimize_batch(const std::vector<MrpBatchJob>& jobs) {
-  // Outer grain: one index group per solve (see solve_groups). Inner
-  // grain: every solve hands the same pool down through options.pool, so
-  // the sharded color-graph and set-cover stages of a large solve are
-  // stolen by workers that have run out of solves — the pool is
-  // nesting-safe and never oversubscribed. Each worker writes only the
-  // results[i] of the group it claimed, and the inner stages are
-  // shard-count-independent, so the batch stays bit-identical to a serial
-  // loop for every thread count, with or without a cache.
+  // Outer grain: one index per solve. Inner grain: every solve hands the
+  // same pool down through options.pool, so the sharded color-graph and
+  // set-cover stages of a large solve are stolen by workers that have run
+  // out of solves — the pool is nesting-safe and never oversubscribed.
+  // Each worker writes only the results[i] it claimed, and the inner
+  // stages are shard-count-independent, so the batch stays bit-identical
+  // to a serial loop for every thread count, with or without a cache.
   std::vector<MrpResult> results(jobs.size());
   ThreadPool pool;
-  std::vector<MrpOptions> opts(jobs.size());
-  std::vector<const std::vector<i64>*> banks(jobs.size());
-  std::vector<const MrpOptions*> opt_ptrs(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    opts[i] = jobs[i].options;
-    opts[i].pool = &pool;
-    banks[i] = &jobs[i].bank;
-    opt_ptrs[i] = &opts[i];
-  }
-  const auto groups = solve_groups(jobs.size(), banks.data(), opt_ptrs.data());
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t i : groups[g]) {
-      results[i] = mrp_optimize(jobs[i].bank, opts[i]);
-    }
+  pool.parallel_for(jobs.size(), [&](std::size_t i) {
+    MrpOptions opts = jobs[i].options;
+    opts.pool = &pool;
+    results[i] = mrp_optimize(jobs[i].bank, opts);
   });
   return results;
 }
@@ -484,22 +436,10 @@ std::vector<MrpResult> mrp_optimize_batch(
     const std::vector<std::vector<i64>>& banks, const MrpOptions& options) {
   std::vector<MrpResult> results(banks.size());
   std::optional<ThreadPool> local_pool;
-  ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : local_pool.emplace();
   MrpOptions opts = options;
-  opts.pool = &pool;
-  std::vector<const std::vector<i64>*> bank_ptrs(banks.size());
-  std::vector<const MrpOptions*> opt_ptrs(banks.size());
-  for (std::size_t i = 0; i < banks.size(); ++i) {
-    bank_ptrs[i] = &banks[i];
-    opt_ptrs[i] = &opts;
-  }
-  const auto groups =
-      solve_groups(banks.size(), bank_ptrs.data(), opt_ptrs.data());
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t i : groups[g]) {
-      results[i] = mrp_optimize(banks[i], opts);
-    }
+  opts.pool = options.pool != nullptr ? options.pool : &local_pool.emplace();
+  opts.pool->parallel_for(banks.size(), [&](std::size_t i) {
+    results[i] = mrp_optimize(banks[i], opts);
   });
   return results;
 }

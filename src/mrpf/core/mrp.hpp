@@ -5,6 +5,7 @@
 // recursive MRP.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -83,13 +84,14 @@ struct MrpOptions {
   /// the pool runs nested loops inline with work stealing. Borrowed, never
   /// owned; must outlive the call.
   ThreadPool* pool = nullptr;
-  /// Cross-solve memoization: when non-null, mrp_optimize first asks the
-  /// cache for a solve of an equivalent bank (same canonical fingerprint —
-  /// see cache/fingerprint.hpp) and, on a miss, offers the fresh result
-  /// back for reuse. A rehydrated hit is field-for-field identical to the
-  /// fresh solve (timers excepted — they travel from the original solve),
-  /// so results never depend on cache state. Must be thread-safe (the
-  /// batch runners share it across workers). Borrowed, never owned.
+  /// Cross-solve memoization: when non-null, mrp_optimize solves through
+  /// the cache's single-flight get_or_compute, so an equivalent bank (same
+  /// canonical fingerprint — see cache/fingerprint.hpp) solved before, or
+  /// in flight on another thread, is reused. A rehydrated hit is
+  /// field-for-field identical to the fresh solve (timers excepted — they
+  /// travel from the original solve), so results never depend on cache
+  /// state. Must be thread-safe (the batch runners share it across
+  /// workers). Borrowed, never owned.
   SolveCacheHook* cache = nullptr;
   /// Flow-level persistent cache: when non-empty (and `cache` is null),
   /// core::optimize_bank / optimize_bank_batch open a cache::SolveCache,
@@ -170,10 +172,19 @@ struct MrpResult {
 
 struct SynthPlan;  // core/synth_plan.hpp
 
-/// Cross-solve cache interface consumed by the flow layer, mrp_optimize
-/// and the batch runners. Entries are scheme-tagged SynthPlans, so every
-/// scheme shares one cache. The concrete implementation
-/// (cache::SolveCache — canonical fingerprinting, sharded in-memory LRU,
+/// How a solve was actually served — observability the synthesis daemon
+/// surfaces per response (never part of the result: cached == fresh).
+struct SolveInfo {
+  bool cache_hit = false;  ///< Plan rehydrated from options.cache.
+  /// Waited on an equivalent solve another thread was running (implies
+  /// cache_hit); the daemon reports it as a coalesced join.
+  bool joined = false;
+};
+
+/// Cross-solve cache interface consumed by the flow layer and
+/// mrp_optimize. Entries are scheme-tagged SynthPlans, so every scheme
+/// shares one cache. The concrete implementation (cache::SolveCache —
+/// canonical fingerprinting, sharded in-memory LRU, single-flight solves,
 /// optional persistent store) lives in src/mrpf/cache; core only depends
 /// on this abstract hook so the dependency points cache → core. All
 /// methods must be thread-safe.
@@ -181,34 +192,26 @@ class SolveCacheHook {
  public:
   virtual ~SolveCacheHook() = default;
 
-  /// If a plan for an equivalent (bank, scheme, options) solve is cached,
-  /// rehydrates it for `bank` into `out` (field-for-field identical to a
-  /// fresh driver optimize, timers excepted) and returns true.
-  virtual bool try_get_plan(const std::vector<i64>& bank, Scheme scheme,
-                            const MrpOptions& options, SynthPlan& out) = 0;
+  /// Single-flight solve of (bank, scheme, options), the one mechanism
+  /// that stops equivalent banks from being solved twice. A cached
+  /// equivalent solve is rehydrated for `bank` (field-for-field identical
+  /// to compute(), timers excepted). Otherwise the first caller for the
+  /// canonical key runs compute() and publishes its plan; every caller
+  /// arriving while it runs waits and builds its own answer from the
+  /// published plan, or rethrows the leader's exception. `info` (nullable)
+  /// reports how the call was served.
+  virtual SynthPlan get_or_compute(const std::vector<i64>& bank,
+                                   Scheme scheme, const MrpOptions& options,
+                                   const std::function<SynthPlan()>& compute,
+                                   SolveInfo* info) = 0;
 
-  /// Offers a freshly computed plan for reuse (the cache stores the
-  /// canonical form; `plan` is not modified). Re-offering a plan already
-  /// cached under the same key is a no-op, so the flow layer and
-  /// mrp_optimize's internal memoization can both publish one solve.
-  virtual void put_plan(const std::vector<i64>& bank, Scheme scheme,
-                        const MrpOptions& options, const SynthPlan& plan) = 0;
-
-  /// Canonical solve key of (bank, scheme, options): equal keys ⇔ the
-  /// solves can share one cache entry. The batch runners group jobs by
-  /// this key so equivalent banks dedup to one live solve per batch.
-  virtual u64 plan_key(const std::vector<i64>& bank, Scheme scheme,
-                       const MrpOptions& options) const = 0;
-
-  /// MrpResult-level convenience used by mrp_optimize's internal
-  /// memoization (including recursive SEED solves). Wraps the plan-level
-  /// interface: the scheme is derived from options.cse_on_seed and the
-  /// MrpResult travels inside a SynthPlan (see core/synth_plan.cpp).
-  bool try_get(const std::vector<i64>& bank, const MrpOptions& options,
-               MrpResult& out);
-  void put(const std::vector<i64>& bank, const MrpOptions& options,
-           const MrpResult& result);
-  u64 solve_key(const std::vector<i64>& bank, const MrpOptions& options) const;
+  /// MrpResult-level form used by mrp_optimize's internal memoization
+  /// (including recursive SEED solves): the scheme is derived from
+  /// options.cse_on_seed and the MrpResult travels inside a SynthPlan
+  /// (see core/synth_plan.cpp).
+  MrpResult get_or_compute_mrp(const std::vector<i64>& bank,
+                               const MrpOptions& options,
+                               const std::function<MrpResult()>& compute);
 };
 
 /// Runs MRP stage A + tree construction over a constant bank (typically
@@ -227,10 +230,9 @@ struct MrpBatchJob {
 /// fan-out pool when non-null). Every result slot is written only by the
 /// worker that claimed it, so results[i] is bit-identical to a serial
 /// mrp_optimize(banks[i], options) regardless of thread count. With
-/// options.cache set, jobs sharing a solve fingerprint are grouped onto
-/// one worker, so each equivalence class is solved live at most once per
-/// batch — the rest rehydrate from the cache, which preserves the
-/// bit-identity guarantee because cached == fresh.
+/// options.cache set, the cache's single-flight get_or_compute solves each
+/// equivalence class live once; the rest rehydrate or join, which
+/// preserves the bit-identity guarantee because cached == fresh.
 std::vector<MrpResult> mrp_optimize_batch(
     const std::vector<std::vector<i64>>& banks,
     const MrpOptions& options = {});

@@ -108,26 +108,15 @@ SynthPlan make_mrp_plan(const std::vector<i64>& bank, const MrpResult& result,
   return plan;
 }
 
-bool SolveCacheHook::try_get(const std::vector<i64>& bank,
-                             const MrpOptions& options, MrpResult& out) {
+MrpResult SolveCacheHook::get_or_compute_mrp(
+    const std::vector<i64>& bank, const MrpOptions& options,
+    const std::function<MrpResult()>& compute) {
   const MrpOptions o = without_passes(options);
-  SynthPlan plan;
-  if (!try_get_plan(bank, mrp_scheme_of(o), o, plan)) return false;
-  if (!plan.mrp.has_value()) return false;
-  out = std::move(*plan.mrp);
-  return true;
-}
-
-void SolveCacheHook::put(const std::vector<i64>& bank,
-                         const MrpOptions& options, const MrpResult& result) {
-  const MrpOptions o = without_passes(options);
-  put_plan(bank, mrp_scheme_of(o), o, make_mrp_plan(bank, result, o));
-}
-
-u64 SolveCacheHook::solve_key(const std::vector<i64>& bank,
-                              const MrpOptions& options) const {
-  const MrpOptions o = without_passes(options);
-  return plan_key(bank, mrp_scheme_of(o), o);
+  SynthPlan plan = get_or_compute(
+      bank, mrp_scheme_of(o), o,
+      [&] { return make_mrp_plan(bank, compute(), o); }, nullptr);
+  MRPF_CHECK(plan.mrp.has_value(), "solve cache: MRP plan without provenance");
+  return std::move(*plan.mrp);
 }
 
 }  // namespace mrpf::core

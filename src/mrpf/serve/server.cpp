@@ -309,8 +309,7 @@ void SynthServer::handle_synth(int fd,
 
 SynthResponse SynthServer::solve(const SynthRequest& request) {
   core::MrpOptions options = request.to_options();
-  cache::SolveCache* cache_ptr = cache();
-  options.cache = cache_ptr;
+  options.cache = cache();
   // The kBnb budget is server policy, not a wire knob: resolve it from the
   // startup snapshot so the solve path never re-reads the environment.
   options.opt_budget = config_.knobs.opt_budget != 0
@@ -326,41 +325,18 @@ SynthResponse SynthServer::solve(const SynthRequest& request) {
                            : core::kDefaultXformBudget)
                     : 0;
 
-  SynthResponse response;
+  // Equivalent concurrent requests coalesce inside the cache's
+  // single-flight get_or_compute: one leader solves, the rest join it and
+  // rehydrate the published plan for their own banks, so every answer is
+  // bit-identical to a fresh solve of that request's bank.
   core::SolveInfo info;
-
-  if (cache_ptr != nullptr && config_.coalesce) {
-    const u64 key =
-        cache_ptr->plan_key(request.bank, request.scheme, options);
-    const InflightTable::Ticket ticket = inflight_.acquire(key);
-    if (ticket.leader) {
-      try {
-        core::SchemeResult result =
-            core::optimize_bank(request.bank, request.scheme, options, &info);
-        inflight_.complete(key);
-        response.plan = std::move(result.plan);
-      } catch (...) {
-        inflight_.fail(key, std::current_exception());
-        throw;
-      }
-    } else {
-      InflightTable::wait(ticket);  // rethrows the leader's error
-      metrics_.coalesced_joins.fetch_add(1);
-      // The leader published into the shared cache before releasing us;
-      // rehydrating against OUR bank restores our back-references, so the
-      // answer is bit-identical to a fresh solve of this bank.
-      core::SchemeResult result =
-          core::optimize_bank(request.bank, request.scheme, options, &info);
-      response.plan = std::move(result.plan);
-      response.coalesced = true;
-    }
-  } else {
-    core::SchemeResult result =
-        core::optimize_bank(request.bank, request.scheme, options, &info);
-    response.plan = std::move(result.plan);
-  }
-
+  core::SchemeResult result =
+      core::optimize_bank(request.bank, request.scheme, options, &info);
+  SynthResponse response;
+  response.plan = std::move(result.plan);
   response.cache_hit = info.cache_hit;
+  response.coalesced = info.joined;
+  if (info.joined) metrics_.coalesced_joins.fetch_add(1);
   if (info.cache_hit) {
     metrics_.cache_hits.fetch_add(1);
   } else {

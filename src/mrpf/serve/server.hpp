@@ -15,7 +15,7 @@
 //   handle_synth        answering on the same socket
 //        │
 //        ▼
-//   InflightTable + SolveCache — equivalent concurrent requests coalesce
+//   SolveCache::get_or_compute — equivalent concurrent requests coalesce
 //                    onto one live solve; everyone else rehydrates
 //
 // Shutdown: request_shutdown() is async-signal-safe (one write to a
@@ -42,7 +42,6 @@
 #include "mrpf/common/env.hpp"
 #include "mrpf/common/parallel.hpp"
 #include "mrpf/io/frame_assembler.hpp"
-#include "mrpf/serve/inflight.hpp"
 #include "mrpf/serve/metrics.hpp"
 #include "mrpf/serve/protocol.hpp"
 
@@ -59,9 +58,6 @@ struct ServeConfig {
   std::size_t queue_depth = 64;
   /// Per-frame payload bound handed to every connection's assembler.
   std::size_t max_frame_payload = io::kDefaultMaxFramePayload;
-  /// In-flight solve coalescing (--no-coalesce turns it off; results are
-  /// bit-identical either way, duplicates just solve redundantly).
-  bool coalesce = true;
   /// Persistent store: warmed at startup, written back on drain. Empty =
   /// in-memory only.
   std::string cache_path;
@@ -143,7 +139,6 @@ class SynthServer {
   int pipe_w_ = -1;
 
   std::unique_ptr<BoundedQueue<int>> queue_;
-  InflightTable inflight_;
   ServeMetrics metrics_;
   std::atomic<bool> stopping_{false};
   bool ran_ = false;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the mrpf_serve daemon binary: start it on a unix
-# socket, run one client request per scheme (plus ping and stats), then
-# SIGTERM it and require a clean drain with the cache persisted.
+# socket, run one client request per scheme (plus ping and stats), check
+# that malformed client flags are usage errors, then SIGTERM it and
+# require a clean drain with the cache persisted.
 #
 # Usage: serve_smoke.sh /path/to/mrpf_serve
 set -u
@@ -34,6 +35,21 @@ for scheme in simple cse diff-mst rag-n mrpf mrpf+cse; do
   fi
 done
 "$SERVE" --client --unix "$SOCK" --stats || fail=1
+
+# Client numeric flags are parsed whole and range-checked: against this
+# live daemon each bad value must be a usage error (exit 2) naming the
+# flag, never a request sent with a wrapped, clamped or truncated value.
+for bad in "--recursive 257" "--beta 0.5x" "--depth -1" "--l-max 64" \
+           "--coeffs 7,x"; do
+  flag="${bad%% *}"
+  # shellcheck disable=SC2086 # split "flag value" on purpose
+  out="$("$SERVE" --client --unix "$SOCK" --coeffs 7,66 $bad 2>&1)"
+  status=$?
+  if [ "$status" -ne 2 ] || ! printf '%s' "$out" | grep -q -- "$flag"; then
+    echo "client accepted or misreported '$bad' (exit $status): $out"
+    fail=1
+  fi
+done
 
 # Graceful drain: SIGTERM, bounded wait, then the daemon must have exited
 # zero, reported the drain, and persisted a non-empty cache store.

@@ -1,13 +1,18 @@
 // Solve-cache subsystem tests: canonical fingerprint invariance under the
-// MRP equivalence group, field-for-field rehydration identity, batch
-// dedup and thread-count determinism, LRU accounting, binary result
-// serde round-trips, and trust-nothing persistence.
+// MRP equivalence group, field-for-field rehydration identity, single-
+// flight get_or_compute (leader/joiner, error propagation), batch dedup
+// and thread-count determinism, LRU accounting, binary result serde
+// round-trips, and trust-nothing persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,9 +238,16 @@ TEST(SolveCacheTest, LruEvictsOldestUnderTinyBudget) {
   EXPECT_EQ(s.evictions, 2u);  // each insert displaces the previous entry
   EXPECT_EQ(s.entries, 1u);    // the budget floor: always keep one
   // The survivor is the most recent solve.
-  MrpResult out;
-  EXPECT_TRUE(cache.try_get({57, 11}, MrpOptions{}, out));
-  EXPECT_FALSE(cache.try_get({7, 66, 17}, MrpOptions{}, out));
+  const auto cached = [&cache](const std::vector<i64>& bank) {
+    core::SolveInfo info;
+    (void)cache.get_or_compute(
+        bank, core::Scheme::kMrp, MrpOptions{},
+        [&bank] { return core::optimize_bank(bank, core::Scheme::kMrp).plan; },
+        &info);
+    return info.cache_hit;
+  };
+  EXPECT_TRUE(cached({57, 11}));
+  EXPECT_FALSE(cached({7, 66, 17}));
 }
 
 TEST(SolveCacheTest, BnbPlansRoundTripBothWinAndFallbackShapes) {
@@ -331,6 +343,296 @@ TEST(SolveCacheTest, CachedBatchIsDeterministicAcrossThreadCounts) {
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_same_mrp_result(got[i], expected[i]);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Single-flight get_or_compute
+
+/// A fresh kMrp plan of `bank`, solved without any cache.
+core::SynthPlan fresh_mrp_plan(const std::vector<i64>& bank) {
+  return core::optimize_bank(bank, core::Scheme::kMrp, MrpOptions{}).plan;
+}
+
+/// Blocks until `cache` has seen `joins` joiners arrive (bounded).
+void await_joins(const SolveCache& cache, u64 joins) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (cache.stats().joins < joins &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(cache.stats().joins, joins);
+}
+
+/// A leader thread whose solve blocks until release() and then returns
+/// `plan` (or throws, when `fail` is set).
+struct BlockedLeader {
+  BlockedLeader(SolveCache& cache, std::vector<i64> bank, bool fail = false)
+      : bank_(std::move(bank)) {
+    thread_ = std::thread([this, &cache, fail] {
+      try {
+        plan = cache.get_or_compute(
+            bank_, core::Scheme::kMrp, MrpOptions{},
+            [this, fail] {
+              started_.set_value();
+              gate_.wait();
+              if (fail) throw Error("solver went boom");
+              return fresh_mrp_plan(bank_);
+            },
+            &info);
+      } catch (const Error& e) {
+        error = e.what();
+      }
+    });
+    started_.get_future().wait();
+  }
+  ~BlockedLeader() {
+    if (thread_.joinable()) release();
+  }
+  BlockedLeader(const BlockedLeader&) = delete;
+  BlockedLeader& operator=(const BlockedLeader&) = delete;
+
+  void release() {
+    release_.set_value();
+    thread_.join();
+  }
+
+  core::SynthPlan plan;
+  core::SolveInfo info;
+  std::string error;
+
+ private:
+  std::vector<i64> bank_;
+  std::promise<void> started_;
+  std::promise<void> release_;
+  std::shared_future<void> gate_ = release_.get_future().share();
+  std::thread thread_;
+};
+
+TEST(SolveCacheSingleFlight, FirstCallerLeadsLaterCallersJoin) {
+  SolveCache cache;
+  BlockedLeader leader(cache, kPaperExample);
+  EXPECT_EQ(cache.stats().in_flight, 1u);
+
+  constexpr int kJoiners = 3;
+  std::atomic<int> returned{0};
+  std::vector<core::SolveInfo> infos(kJoiners);
+  std::vector<std::thread> joiners;
+  for (int j = 0; j < kJoiners; ++j) {
+    joiners.emplace_back([&, j] {
+      (void)cache.get_or_compute(
+          kPaperExample, core::Scheme::kMrp, MrpOptions{},
+          [] {
+            ADD_FAILURE() << "a joiner must never run the solve";
+            return fresh_mrp_plan(kPaperExample);
+          },
+          &infos[static_cast<std::size_t>(j)]);
+      returned.fetch_add(1);
+    });
+  }
+  await_joins(cache, kJoiners);
+
+  // A different key is independent: it solves at once, beside the flight.
+  core::SolveInfo other;
+  (void)cache.get_or_compute(
+      {3, 5, 19, 21}, core::Scheme::kMrp, MrpOptions{},
+      [] { return fresh_mrp_plan({3, 5, 19, 21}); }, &other);
+  EXPECT_FALSE(other.cache_hit);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(returned.load(), 0);  // joiners park until the leader publishes
+  leader.release();
+  for (std::thread& t : joiners) t.join();
+
+  EXPECT_EQ(returned.load(), kJoiners);
+  EXPECT_FALSE(leader.info.cache_hit);
+  EXPECT_FALSE(leader.info.joined);
+  for (const core::SolveInfo& info : infos) {
+    EXPECT_TRUE(info.cache_hit);
+    EXPECT_TRUE(info.joined);
+  }
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);  // the leader and the independent key
+  EXPECT_EQ(s.hits, static_cast<u64>(kJoiners));
+  EXPECT_EQ(s.inserts, 2u);
+  EXPECT_EQ(s.in_flight, 0u);
+
+  // After the flight, the key is an ordinary cached entry.
+  core::SolveInfo warm;
+  (void)cache.get_or_compute(
+      kPaperExample, core::Scheme::kMrp, MrpOptions{},
+      [] {
+        ADD_FAILURE() << "a cached key must not be solved again";
+        return fresh_mrp_plan(kPaperExample);
+      },
+      &warm);
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_FALSE(warm.joined);
+}
+
+TEST(SolveCacheSingleFlight,
+     LeaderFailureReachesEveryJoinerThenTheNextCallerLeads) {
+  SolveCache cache;
+  BlockedLeader leader(cache, kPaperExample, /*fail=*/true);
+
+  std::atomic<int> threw{0};
+  std::vector<std::thread> joiners;
+  for (int j = 0; j < 2; ++j) {
+    joiners.emplace_back([&] {
+      try {
+        (void)cache.get_or_compute(
+            kPaperExample, core::Scheme::kMrp, MrpOptions{},
+            [] {
+              ADD_FAILURE() << "a joiner must never run the solve";
+              return fresh_mrp_plan(kPaperExample);
+            },
+            nullptr);
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
+        threw.fetch_add(1);
+      }
+    });
+  }
+  await_joins(cache, 2);
+  leader.release();
+  for (std::thread& t : joiners) t.join();
+
+  // Every joiner observed the leader's exception...
+  EXPECT_NE(leader.error.find("boom"), std::string::npos);
+  EXPECT_EQ(threw.load(), 2);
+  // ...the flight was removed and nothing was cached...
+  CacheStats s = cache.stats();
+  EXPECT_EQ(s.in_flight, 0u);
+  EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.hits, 0u);
+  // ...and the next caller leads a fresh solve, not a wedged wait.
+  bool solved = false;
+  core::SolveInfo retry;
+  (void)cache.get_or_compute(
+      kPaperExample, core::Scheme::kMrp, MrpOptions{},
+      [&] {
+        solved = true;
+        return fresh_mrp_plan(kPaperExample);
+      },
+      &retry);
+  EXPECT_TRUE(solved);
+  EXPECT_FALSE(retry.cache_hit);
+  s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.inserts, 1u);
+}
+
+TEST(SolveCacheSingleFlight,
+     JoinerOfAnEquivalentBankMatchesAFreshSolveOfItsOwn) {
+  Rng rng(0x5F11);
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::vector<i64> bank =
+        trial == 0 ? kPaperExample : random_bank(rng, 30, 6, 14);
+    const std::vector<i64> variant = equivalent_variant(bank, rng);
+    SolveCache cache;
+    BlockedLeader leader(cache, bank);
+    core::SynthPlan joined;
+    core::SolveInfo info;
+    std::thread joiner([&] {
+      joined = cache.get_or_compute(
+          variant, core::Scheme::kMrp, MrpOptions{},
+          [&] {
+            ADD_FAILURE() << "a joiner must never run the solve";
+            return fresh_mrp_plan(variant);
+          },
+          &info);
+    });
+    await_joins(cache, 1);
+    leader.release();
+    joiner.join();
+    EXPECT_TRUE(info.joined);
+    // Built from the leader's canonical plan, re-mapped onto the joiner's
+    // own bank: field-for-field a fresh solve of that bank.
+    expect_same_plan(joined, fresh_mrp_plan(variant));
+    expect_same_plan(leader.plan, fresh_mrp_plan(bank));
+  }
+}
+
+// Regression for a pool-nesting deadlock: a batch item that leads a solve
+// waits on its colour-graph shards; if that wait ran another (equivalent)
+// batch item on the same thread, the item would join the flight it leads
+// itself. Banks of 10 primaries at W = 12 give ~2300 SIDC edges, past the
+// 1024-edge sharding threshold, and every class has 4 members.
+TEST(SolveCacheTest, ShardedBatchesJoinWithoutDeadlockAndCountLikeSerial) {
+  Rng rng(0x5EAD);
+  std::vector<std::vector<i64>> classes;
+  for (int c = 0; c < 3; ++c) {
+    std::vector<i64> bank;
+    while (bank.size() < 10) {
+      const i64 v = 2 * rng.next_int(200, 2047) + 1;
+      if (std::find(bank.begin(), bank.end(), v) == bank.end()) {
+        bank.push_back(v);
+      }
+    }
+    classes.push_back(bank);
+  }
+  std::vector<std::vector<i64>> banks;
+  for (int member = 0; member < 4; ++member) {
+    for (const auto& bank : classes) {
+      banks.push_back(member == 0 ? bank : equivalent_variant(bank, rng));
+    }
+  }
+  std::vector<MrpResult> expected_mrp;
+  for (const auto& bank : banks) {
+    expected_mrp.push_back(core::mrp_optimize(bank, MrpOptions{}));
+  }
+  const core::Scheme schemes[] = {core::Scheme::kMrp, core::Scheme::kMrpCse};
+  std::vector<std::vector<core::SynthPlan>> expected_plans;
+  for (const core::Scheme scheme : schemes) {
+    expected_plans.emplace_back();
+    for (const auto& bank : banks) {
+      expected_plans.back().push_back(core::optimize_bank(bank, scheme).plan);
+    }
+  }
+
+  const auto counts = [](const CacheStats& s) {
+    return std::vector<u64>{s.hits, s.misses, s.inserts};
+  };
+  std::vector<std::vector<u64>> serial;
+  for (const char* threads : {"1", "2", "3", "8"}) {
+    SCOPED_TRACE(std::string("MRPF_THREADS=") + threads);
+    ::setenv("MRPF_THREADS", threads, 1);
+    std::vector<std::vector<u64>> got;
+    {
+      SolveCache cache;
+      MrpOptions opts;
+      opts.cache = &cache;
+      const std::vector<MrpResult> results =
+          core::mrp_optimize_batch(banks, opts);
+      ASSERT_EQ(results.size(), banks.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        expect_same_mrp_result(results[i], expected_mrp[i]);
+      }
+      got.push_back(counts(cache.stats()));
+    }
+    for (std::size_t k = 0; k < std::size(schemes); ++k) {
+      SolveCache cache;
+      MrpOptions opts;
+      opts.cache = &cache;
+      const std::vector<core::SchemeResult> results =
+          core::optimize_bank_batch(banks, schemes[k], opts);
+      ASSERT_EQ(results.size(), banks.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        expect_same_plan(results[i].plan, expected_plans[k][i]);
+      }
+      got.push_back(counts(cache.stats()));
+    }
+    ::unsetenv("MRPF_THREADS");
+    if (serial.empty()) {
+      serial = got;
+      // One live solve per class: the memo misses once per class; the
+      // flow's solve and the memo nested in it share one key, so each
+      // class costs the flow two misses and one insert.
+      EXPECT_EQ(serial[0], (std::vector<u64>{9, 3, 3}));
+      EXPECT_EQ(serial[1], (std::vector<u64>{9, 6, 3}));
+    }
+    EXPECT_EQ(got, serial);
   }
 }
 
@@ -797,6 +1099,9 @@ TEST(Persist, ConcurrentSaversNeverCorruptTheSurvivingStore) {
   // rename steals another's temp file (save returns false), and a rename
   // publishes a temp the other writer was mid-write in (load rejects the
   // torn store).
+  // The store exists before sampling starts: a load that finds no file
+  // yet is not a torn store.
+  ASSERT_TRUE(save_solve_cache(a, path));
   constexpr int kWriters = 4;
   constexpr int kSaves = 1200;
   std::atomic<int> ready{0};

@@ -228,6 +228,36 @@ TEST(EnvKnobs, SharedGrammarAcceptsOnlyBareDecimals) {
   EXPECT_FALSE(env::parse_positive_int(nullptr, 512).well_formed);
 }
 
+TEST(EnvKnobs, FlagGrammarRangeChecksInsteadOfClamping) {
+  // Command-line flags reuse the digit grammar with an optional '-' and
+  // reject out-of-range values outright: a wrapped or clamped flag would
+  // silently change what the user asked for.
+  EXPECT_EQ(env::parse_int_in_range("8", 0, 8).value, 8);
+  EXPECT_EQ(env::parse_int_in_range("0", 0, 8).value, 0);
+  EXPECT_EQ(env::parse_int_in_range("-1", -1, 63).value, -1);
+  EXPECT_EQ(env::parse_int_in_range("-9223372036854775806",
+                                    -9223372036854775806LL,
+                                    9223372036854775806LL)
+                .value,
+            -9223372036854775806LL);
+  for (const char* bad : {"257", "9", "-1", "-", "", "+4", " 4", "4 ", "4x",
+                          "0x8", "1e0", "99999999999999999999999"}) {
+    EXPECT_FALSE(env::parse_int_in_range(bad, 0, 8).well_formed)
+        << '"' << bad << '"';
+  }
+  EXPECT_FALSE(env::parse_int_in_range(nullptr, 0, 8).well_formed);
+
+  EXPECT_DOUBLE_EQ(env::parse_double_in_range("0.5", 0.0, 1.0).value, 0.5);
+  EXPECT_DOUBLE_EQ(env::parse_double_in_range("1", 0.0, 1.0).value, 1.0);
+  EXPECT_DOUBLE_EQ(env::parse_double_in_range("0", 0.0, 1.0).value, 0.0);
+  for (const char* bad : {"0.5x", "1.5", "-0.1", "nan", "inf", "", " 0.5",
+                          "0.5 ", "x"}) {
+    EXPECT_FALSE(env::parse_double_in_range(bad, 0.0, 1.0).well_formed)
+        << '"' << bad << '"';
+  }
+  EXPECT_FALSE(env::parse_double_in_range(nullptr, 0.0, 1.0).well_formed);
+}
+
 TEST(EnvKnobs, ExecModeGrammarIsStrict) {
   // MRPF_EXEC: exactly off | interp | vector | vector:N, words
   // case-insensitive, N in the parse_positive_int grammar clamped to 64.
@@ -296,6 +326,51 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   std::atomic<int> total{0};
   pool.parallel_for(17, [&](std::size_t) { ++total; });
   EXPECT_EQ(total.load(), 17);
+}
+
+TEST(ThreadPool, WaitingPublisherNeverRunsAnEnclosingJobsIndex) {
+  // An outer item publishes an inner job and finishes its own inner index
+  // first, while another thread still runs the other one. During that
+  // straggler wait the outer job still has unclaimed indices. The waiting
+  // item must not run one of them on its own thread: an outer index that
+  // joins a single-flight solve the waiting item leads would block on
+  // itself. Detection: an outer index starting on a thread that is
+  // already inside an outer index.
+  // The publishing item runs on the calling thread, which keeps claiming
+  // outer indices itself, so the worker is the one free to steal.
+  ThreadPool pool(2);
+  thread_local int outer_depth = 0;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> nested_outer{false};
+  std::atomic<bool> published{false};
+  std::atomic<bool> inner_stolen{false};
+  pool.parallel_for(64, [&](std::size_t) {
+    if (outer_depth > 0) nested_outer.store(true);
+    ++outer_depth;
+    if (std::this_thread::get_id() == caller && !published.exchange(true)) {
+      pool.parallel_for(2, [&](std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+          inner_stolen.store(true);
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          return;
+        }
+        // Hold our own inner index until the other thread has claimed
+        // the second one, so we reach the straggler wait (bounded, in
+        // case scheduling never hands it over).
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (!inner_stolen.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      });
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    --outer_depth;
+  });
+  EXPECT_TRUE(inner_stolen.load());
+  EXPECT_FALSE(nested_outer.load());
 }
 
 TEST(ThreadPool, NestedExceptionPropagatesToTheNestedPublisher) {

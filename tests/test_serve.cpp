@@ -1,5 +1,5 @@
-// Synthesis daemon tests: protocol strictness, in-flight coalescing
-// semantics (leader failure, reaping, retry), end-to-end server behavior
+// Synthesis daemon tests: protocol strictness, coalescing of equivalent
+// requests (herd, leader failure and retry), end-to-end server behavior
 // over real sockets (per-scheme round trips bit-identical to direct
 // solves, cache-hit provenance, error frames, malformed/oversized frame
 // rejection, waiter-disconnect resilience) and graceful drain with cache
@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,7 +21,6 @@
 #include "mrpf/core/flow.hpp"
 #include "mrpf/io/frame_assembler.hpp"
 #include "mrpf/serve/client.hpp"
-#include "mrpf/serve/inflight.hpp"
 #include "mrpf/serve/protocol.hpp"
 #include "mrpf/serve/server.hpp"
 #include "mrpf/verify/fuzz.hpp"
@@ -67,81 +65,6 @@ struct ServerFixture {
   SynthServer server;
   std::thread thread;
 };
-
-// ---------------------------------------------------------------------------
-// InflightTable
-
-TEST(Inflight, FirstArrivalLeadsLaterArrivalsJoin) {
-  InflightTable table;
-  const InflightTable::Ticket leader = table.acquire(42);
-  EXPECT_TRUE(leader.leader);
-  const InflightTable::Ticket waiter = table.acquire(42);
-  EXPECT_FALSE(waiter.leader);
-  EXPECT_EQ(table.size(), 1u);
-  // A different key is independent.
-  const InflightTable::Ticket other = table.acquire(43);
-  EXPECT_TRUE(other.leader);
-
-  std::atomic<bool> released{false};
-  std::thread t([&] {
-    InflightTable::wait(waiter);
-    released.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(released.load());  // waiter parks until the leader is done
-  table.complete(42);
-  t.join();
-  EXPECT_TRUE(released.load());
-  table.complete(43);
-  EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(Inflight, LeaderFailurePropagatesAndReapsTheEntry) {
-  InflightTable table;
-  const InflightTable::Ticket leader = table.acquire(7);
-  const InflightTable::Ticket w1 = table.acquire(7);
-  const InflightTable::Ticket w2 = table.acquire(7);
-  ASSERT_TRUE(leader.leader);
-
-  std::atomic<int> threw{0};
-  auto waiting = [&](const InflightTable::Ticket& t) {
-    try {
-      InflightTable::wait(t);
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-      threw.fetch_add(1);
-    }
-  };
-  std::thread t1(waiting, std::cref(w1));
-  std::thread t2(waiting, std::cref(w2));
-  try {
-    throw Error("solver went boom");
-  } catch (...) {
-    table.fail(7, std::current_exception());
-  }
-  t1.join();
-  t2.join();
-  // Every waiter observed the leader's exception...
-  EXPECT_EQ(threw.load(), 2);
-  // ...the entry was reaped immediately...
-  EXPECT_EQ(table.size(), 0u);
-  // ...and the next arrival starts a fresh leader, not a wedged waiter.
-  const InflightTable::Ticket retry = table.acquire(7);
-  EXPECT_TRUE(retry.leader);
-  table.complete(7);
-}
-
-TEST(Inflight, AbandonedWaiterTicketDoesNotWedgeTheKey) {
-  InflightTable table;
-  const InflightTable::Ticket leader = table.acquire(9);
-  {
-    const InflightTable::Ticket waiter = table.acquire(9);
-    EXPECT_FALSE(waiter.leader);
-    // Waiter's connection drops before it ever waits: ticket destroyed.
-  }
-  table.complete(9);  // must not hang or throw
-  EXPECT_EQ(table.size(), 0u);
-}
 
 // ---------------------------------------------------------------------------
 // Protocol encode/decode
@@ -321,34 +244,6 @@ TEST(Server, ThunderingHerdCoalescesToOneFreshSolve) {
   // The leader publishes before releasing anyone, so exactly one request
   // can ever see a cold cache — regardless of arrival interleaving.
   EXPECT_EQ(fresh.load(), 1);
-}
-
-TEST(Server, NoCoalesceStillAnswersBitIdentical) {
-  ServeConfig config;
-  config.coalesce = false;
-  config.workers = 4;
-  ServerFixture fx(std::move(config), "nocoalesce");
-  constexpr int kClients = 4;
-  std::vector<core::SynthPlan> plans(kClients);
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      ServeClient client = fx.client();
-      SynthRequest req;
-      req.bank = kPaperExample;
-      req.scheme = core::Scheme::kMrpCse;
-      plans[static_cast<std::size_t>(c)] = client.synth(req).plan;
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const core::SchemeResult direct =
-      core::optimize_bank(kPaperExample, core::Scheme::kMrpCse);
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(verify::plan_mismatch(plans[static_cast<std::size_t>(c)],
-                                    direct.plan),
-              std::nullopt)
-        << "client " << c;
-  }
 }
 
 TEST(Server, SolverFailureBecomesAnErrorFrameAndNeverWedges) {

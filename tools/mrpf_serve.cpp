@@ -6,7 +6,7 @@
 // persist the solve cache on the way out:
 //
 //   mrpf_serve --unix /tmp/mrpf.sock [--tcp PORT] [--workers N]
-//              [--cache FILE] [--queue-depth N] [--no-coalesce] [--xform]
+//              [--cache FILE] [--queue-depth N] [--xform]
 //
 // Client mode (--client): connect, run one request, print the answer —
 // the smoke-test and scripting front door:
@@ -19,12 +19,17 @@
 // Environment knobs (MRPF_THREADS / MRPF_CACHE / MRPF_EXEC /
 // MRPF_XFORM_BUDGET) are read exactly once at daemon startup into the
 // config; nothing re-reads the environment mid-run.
+//
+// Numeric flags are parsed whole and range-checked (common/env grammar);
+// a malformed or out-of-range value is a usage error naming the flag,
+// exit status 2.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "mrpf/common/env.hpp"
 #include "mrpf/common/error.hpp"
 #include "mrpf/core/scheme.hpp"
 #include "mrpf/serve/client.hpp"
@@ -41,10 +46,11 @@ using namespace mrpf;
                "daemon mode (default):\n"
                "  --unix PATH           listen on a unix-domain socket\n"
                "  --tcp PORT            listen on 127.0.0.1:PORT (0 = pick)\n"
-               "  --workers N           request workers (default: knobs)\n"
-               "  --queue-depth N       accept queue bound (default 64)\n"
+               "  --workers N           request workers, 1..512 (default:\n"
+               "                        knobs)\n"
+               "  --queue-depth N       accept queue bound, 1..1048576\n"
+               "                        (default 64)\n"
                "  --cache FILE          persistent solve-cache store\n"
-               "  --no-coalesce         solve duplicates independently\n"
                "  --xform               run the e-graph rewrite pass on\n"
                "                        every solve (MRPF_XFORM_BUDGET at\n"
                "                        startup sizes it)\n"
@@ -53,19 +59,34 @@ using namespace mrpf;
                "  --coeffs c0,c1,...    bank to optimize\n"
                "  --scheme NAME         simple|cse|diff-mst|rag-n|mrpf|"
                "mrpf+cse\n"
-               "  --beta B --depth D --recursive N --l-max L\n"
+               "  --beta B (0..1)  --depth D (0..64)  --recursive N (0..8)\n"
+               "  --l-max L (-1..63, -1 = auto)\n"
                "  --stats               fetch daemon counters instead\n"
                "  --ping                liveness probe instead\n");
   std::exit(2);
 }
 
+/// A whole-string integer in [lo, hi], or a usage error naming `flag`.
+long long int_flag(const std::string& flag, const std::string& text,
+                   long long lo, long long hi) {
+  const env::ParsedInt parsed = env::parse_int_in_range(text.c_str(), lo, hi);
+  if (!parsed.well_formed) {
+    usage((flag + " expects an integer in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "], got \"" + text + "\"")
+              .c_str());
+  }
+  return parsed.value;
+}
+
 std::vector<i64> parse_bank(const std::string& csv) {
+  constexpr long long kMaxCoeff = std::numeric_limits<i64>::max() - 1;
   std::vector<i64> bank;
   std::size_t pos = 0;
   while (pos < csv.size()) {
     std::size_t next = csv.find(',', pos);
     if (next == std::string::npos) next = csv.size();
-    bank.push_back(std::stoll(csv.substr(pos, next - pos)));
+    bank.push_back(int_flag("--coeffs", csv.substr(pos, next - pos),
+                            -kMaxCoeff, kMaxCoeff));
     pos = next + 1;
   }
   return bank;
@@ -147,16 +168,14 @@ int main(int argc, char** argv) {
     if (arg == "--unix") {
       unix_path = value();
     } else if (arg == "--tcp") {
-      tcp_port = std::atoi(value().c_str());
+      tcp_port = static_cast<int>(int_flag(arg, value(), 0, 65535));
     } else if (arg == "--workers") {
-      config.workers = std::atoi(value().c_str());
+      config.workers = static_cast<int>(int_flag(arg, value(), 1, 512));
     } else if (arg == "--queue-depth") {
       config.queue_depth =
-          static_cast<std::size_t>(std::atoll(value().c_str()));
+          static_cast<std::size_t>(int_flag(arg, value(), 1, 1 << 20));
     } else if (arg == "--cache") {
       config.cache_path = value();
-    } else if (arg == "--no-coalesce") {
-      config.coalesce = false;
     } else if (arg == "--xform") {
       config.xform = true;
     } else if (arg == "--client") {
@@ -173,14 +192,23 @@ int main(int argc, char** argv) {
       if (!scheme.has_value()) usage(("unknown scheme " + name).c_str());
       request.scheme = *scheme;
     } else if (arg == "--beta") {
-      request.beta = std::atof(value().c_str());
+      const std::string text = value();
+      const env::ParsedDouble beta =
+          env::parse_double_in_range(text.c_str(), 0.0, 1.0);
+      if (!beta.well_formed) {
+        usage(("--beta expects a number in [0, 1], got \"" + text + "\"")
+                  .c_str());
+      }
+      request.beta = beta.value;
     } else if (arg == "--depth") {
-      request.depth_limit = std::atoi(value().c_str());
+      request.depth_limit =
+          static_cast<std::int32_t>(int_flag(arg, value(), 0, 64));
     } else if (arg == "--recursive") {
       request.recursive_levels =
-          static_cast<std::uint8_t>(std::atoi(value().c_str()));
+          static_cast<std::uint8_t>(int_flag(arg, value(), 0, 8));
     } else if (arg == "--l-max") {
-      request.l_max = std::atoi(value().c_str());
+      request.l_max =
+          static_cast<std::int32_t>(int_flag(arg, value(), -1, 63));
     } else if (arg == "--help" || arg == "-h") {
       usage(nullptr);
     } else {
@@ -205,8 +233,7 @@ int main(int argc, char** argv) {
     if (!unix_path.empty()) {
       std::printf("listening on %s\n", unix_path.c_str());
     }
-    std::printf("workers %d  coalesce %d  cache %s\n", server.workers(),
-                server.config().coalesce ? 1 : 0,
+    std::printf("workers %d  cache %s\n", server.workers(),
                 server.config().cache_path.empty()
                     ? "(memory)"
                     : server.config().cache_path.c_str());
