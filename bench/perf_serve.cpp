@@ -117,7 +117,8 @@ std::vector<Outcome> run_phase(const std::string& unix_path, int tcp_port,
 
           // Bit-identity against a direct, daemon-free solve of the same
           // request. No shared cache: this is the fresh reference.
-          core::MrpOptions opts = requests[i].req.to_options();
+          core::MrpOptions opts;
+          opts.spec() = requests[i].req.spec;
           const core::SchemeResult direct = core::optimize_bank(
               requests[i].req.bank, requests[i].req.scheme, opts);
           const auto mismatch =

@@ -1,9 +1,7 @@
 #include "mrpf/cache/fingerprint.hpp"
 
 #include <algorithm>
-#include <bit>
 
-#include "mrpf/core/scheme_driver.hpp"
 
 namespace mrpf::cache {
 
@@ -55,56 +53,15 @@ u64 canonical_content_hash(const std::vector<i64>& canonical_values) {
   return fnv1a64_word(static_cast<u64>(canonical_values.size()), h);
 }
 
-SolveOptionsTag options_tag(const core::MrpOptions& options) {
-  SolveOptionsTag tag;
-  tag.beta_bits = std::bit_cast<u64>(options.beta);
-  tag.opt_budget = static_cast<u64>(options.opt_budget);
-  tag.xform_budget = static_cast<u64>(options.passes.xform_budget);
-  tag.l_max = options.l_max;
-  tag.depth_limit = options.depth_limit;
-  tag.rep = static_cast<std::uint8_t>(options.rep);
-  tag.cse_on_seed = options.cse_on_seed ? 1 : 0;
-  tag.recursive_levels = static_cast<std::uint8_t>(options.recursive_levels);
-  tag.xform = options.passes.xform ? 1 : 0;
-  tag.scheme = static_cast<std::uint8_t>(
-      options.cse_on_seed ? core::Scheme::kMrpCse : core::Scheme::kMrp);
-  return tag;
-}
-
-SolveOptionsTag options_tag(core::Scheme scheme,
-                            const core::MrpOptions& options) {
-  SolveOptionsTag tag =
-      options_tag(core::scheme_driver(scheme).canonical_options(options));
-  tag.scheme = static_cast<std::uint8_t>(scheme);
-  return tag;
-}
-
-u64 solve_key(const CanonicalBank& canonical,
-              const core::MrpOptions& options) {
-  return solve_key(canonical.content_hash, options_tag(options));
-}
-
-u64 solve_key(core::Scheme scheme, const std::vector<i64>& bank,
-              const core::MrpOptions& options) {
-  return solve_key(canonicalize(scheme, bank).content_hash,
-                   options_tag(scheme, options));
+u64 solve_key(const CanonicalBank& canonical, const core::SolveSpec& spec) {
+  const core::Scheme scheme =
+      spec.cse_on_seed ? core::Scheme::kMrpCse : core::Scheme::kMrp;
+  return solve_key(canonical.content_hash, SolveOptionsTag{scheme, spec});
 }
 
 u64 solve_key(u64 content_hash, const SolveOptionsTag& tag) {
-  u64 h = fnv1a64_word(tag.beta_bits, content_hash);
-  h = fnv1a64_word(tag.opt_budget, h);
-  h = fnv1a64_word(tag.xform_budget, h);
-  h = fnv1a64_word((static_cast<u64>(static_cast<std::uint32_t>(tag.l_max))
-                    << 32) |
-                       static_cast<std::uint32_t>(tag.depth_limit),
-                   h);
-  h = fnv1a64_word((static_cast<u64>(tag.xform) << 32) |
-                       (static_cast<u64>(tag.scheme) << 24) |
-                       (static_cast<u64>(tag.rep) << 16) |
-                       (static_cast<u64>(tag.cse_on_seed) << 8) |
-                       tag.recursive_levels,
-                   h);
-  return h;
+  return core::hash_spec(
+      tag.spec, fnv1a64_word(static_cast<u64>(tag.scheme), content_hash));
 }
 
 }  // namespace mrpf::cache

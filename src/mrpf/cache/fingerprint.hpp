@@ -21,8 +21,8 @@
 //    canonical form is the bank verbatim and only exact repeats share an
 //    entry — sound for any scheme, just less sharing.
 //
-// Alongside the bank, the fingerprint hashes a scheme+options tag, so
-// every scheme keys its own namespace in one shared cache.
+// Alongside the bank, the fingerprint hashes the scheme and its canonical
+// SolveSpec, so every scheme keys its own namespace in one shared cache.
 #pragma once
 
 #include <cstddef>
@@ -78,56 +78,29 @@ CanonicalBank canonicalize(core::Scheme scheme, const std::vector<i64>& bank);
 /// back-transform on rehydration).
 bool uses_mrp_canonical_form(core::Scheme scheme);
 
-/// The scheme plus the MrpOptions fields that select a distinct solve.
-/// pool, cache, cache_path and use_reference_engine are excluded: they
-/// change wall time, never a result field (bit-identity is asserted by
-/// the PR-1/PR-2 differential tests). Stored alongside each cache entry
-/// so a lookup match is exact, not just hash-equal.
+/// What selects a distinct solve besides the bank: the scheme and the
+/// scheme's canonical SolveSpec. Session fields (pool, cache, cache_path,
+/// use_reference_engine) cannot reach it — they change wall time, never a
+/// result field. Stored alongside each cache entry so a lookup match is
+/// exact, not just hash-equal.
 struct SolveOptionsTag {
-  u64 beta_bits = 0;  // bit pattern of MrpOptions::beta (exact compare)
-  /// Resolved kBnb search budget (0 for every other scheme — their drivers
-  /// reset the knob, so budget changes never fragment their namespaces).
-  u64 opt_budget = 0;
-  /// Resolved e-graph pass saturation budget (0 whenever the pass is off —
-  /// canonical_options pins it, so pass-off namespaces never fragment).
-  u64 xform_budget = 0;
-  std::int32_t l_max = 0;
-  std::int32_t depth_limit = 0;
-  std::uint8_t rep = 0;
-  std::uint8_t cse_on_seed = 0;
-  std::uint8_t recursive_levels = 0;
-  std::uint8_t scheme = 0;  // core::Scheme of the plan (cache namespace)
-  /// 1 when the e-graph pass ran over the stored plan. Pass-on and
-  /// pass-off entries are disjoint namespaces: a pass-off probe must never
-  /// rehydrate a rewritten plan, and vice versa.
-  std::uint8_t xform = 0;
+  core::Scheme scheme = core::Scheme::kMrp;  ///< Cache namespace.
+  core::SolveSpec spec;
 
   bool operator==(const SolveOptionsTag&) const = default;
 };
-
-/// Tag of an MrpOptions-level (mrp_optimize) solve: the scheme is derived
-/// from cse_on_seed, every other field is taken verbatim.
-SolveOptionsTag options_tag(const core::MrpOptions& options);
-
-/// Tag of a flow-level solve: options are normalized through the scheme's
-/// driver (knobs the scheme ignores reset, knobs it forces pinned — see
-/// SchemeDriver::canonical_options) before tagging, so irrelevant knob
-/// changes never fragment the cache.
-SolveOptionsTag options_tag(core::Scheme scheme,
-                            const core::MrpOptions& options);
 
 /// content_hash of an already-canonical value vector (the persistence load
 /// path re-derives hashes instead of trusting the file).
 u64 canonical_content_hash(const std::vector<i64>& canonical_values);
 
 /// 64-bit solve fingerprint: content_hash of the canonical bank mixed with
-/// the scheme+options tag. Two (bank, scheme, options) triples with equal
-/// keys are intended to share one cache entry; SolveCache still verifies
-/// the canonical words and tag before trusting a hit.
+/// the scheme and every spec field. Two (bank, scheme, spec) triples with
+/// equal keys are intended to share one cache entry; SolveCache still
+/// verifies the canonical words and tag before trusting a hit.
 u64 solve_key(u64 content_hash, const SolveOptionsTag& tag);
-u64 solve_key(const CanonicalBank& canonical,
-              const core::MrpOptions& options);
-u64 solve_key(core::Scheme scheme, const std::vector<i64>& bank,
-              const core::MrpOptions& options);
+/// Key of an mrp_optimize-level solve: the scheme follows cse_on_seed and
+/// the spec is taken verbatim.
+u64 solve_key(const CanonicalBank& canonical, const core::SolveSpec& spec);
 
 }  // namespace mrpf::cache

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <utility>
 #include <vector>
@@ -12,79 +11,22 @@
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/hash.hpp"
 #include "mrpf/io/result_serde.hpp"
+#include "mrpf/io/serde_util.hpp"
 
 namespace mrpf::cache {
 
-namespace {
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int b = 0; b < 4; ++b) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-  }
-}
-
-void append_tag(std::vector<std::uint8_t>& out, const SolveOptionsTag& tag) {
-  append_u64(out, tag.beta_bits);
-  append_u64(out, tag.opt_budget);   // file version 3: tag grew to 28 bytes
-  append_u64(out, tag.xform_budget); // file version 4: tag grew to 37 bytes
-  append_u32(out, static_cast<std::uint32_t>(tag.l_max));
-  append_u32(out, static_cast<std::uint32_t>(tag.depth_limit));
-  out.push_back(tag.rep);
-  out.push_back(tag.cse_on_seed);
-  out.push_back(tag.recursive_levels);
-  out.push_back(tag.scheme);
-  out.push_back(tag.xform);
-}
-
-struct ByteReader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  // `pos <= size` first: `size - pos` underflows once a read overruns, and
-  // an underflowed guard would wave every later bounds check through.
-  bool need(std::size_t n) const { return pos <= size && n <= size - pos; }
-  std::uint8_t u8() { return data[pos++]; }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int b = 0; b < 4; ++b) {
-      v |= static_cast<std::uint32_t>(data[pos + b]) << (8 * b);
-    }
-    pos += 4;
-    return v;
-  }
-  u64 u64v() {
-    u64 v = 0;
-    for (int b = 0; b < 8; ++b) {
-      v |= static_cast<u64>(data[pos + b]) << (8 * b);
-    }
-    pos += 8;
-    return v;
-  }
-};
-
-}  // namespace
-
 bool save_solve_cache(const SolveCache& cache, const std::string& path) {
   std::vector<std::uint8_t> buffer;
-  append_u64(buffer, kCacheFileMagic);
-  append_u32(buffer, kCacheFileVersion);
-  append_u32(buffer, 0);  // reserved
+  io::ByteWriter w(buffer);
+  w.u64v(kCacheFileMagic);
+  w.u64v(core::schema_fingerprint());
   const std::size_t count_pos = buffer.size();
-  append_u64(buffer, 0);  // entry count, patched below
+  w.u64v(0);  // entry count, patched below
   u64 count = 0;
-  cache.for_each([&buffer, &count](const SolveCache::StoredSolve& entry) {
-    append_tag(buffer, entry.tag);
-    append_u64(buffer, entry.canonical->size());
-    for (const i64 v : *entry.canonical) {
-      append_u64(buffer, static_cast<u64>(v));
-    }
+  cache.for_each([&](const SolveCache::StoredSolve& entry) {
+    w.u8(static_cast<std::uint8_t>(entry.tag.scheme));
+    core::encode_spec(entry.tag.spec, w);
+    w.i64_array(*entry.canonical);
     io::serialize_plan(*entry.plan, buffer);
     ++count;
   });
@@ -92,7 +34,7 @@ bool save_solve_cache(const SolveCache& cache, const std::string& path) {
     buffer[count_pos + static_cast<std::size_t>(b)] =
         static_cast<std::uint8_t>(count >> (8 * b));
   }
-  append_u64(buffer, fnv1a64(buffer.data(), buffer.size()));
+  w.u64v(fnv1a64(buffer.data(), buffer.size()));
 
   // Temp-then-rename so a crash mid-write leaves either the old store or
   // none — never a torn file that the loader would have to reject. The
@@ -138,22 +80,9 @@ bool load_solve_cache(SolveCache& cache, const std::string& path) {
 
   // Whole-file checksum first: all-or-nothing, so a partially valid
   // prefix of a corrupt file can never leak entries into the cache.
-  ByteReader r{buffer.data(), buffer.size() - 8};
-  const u64 stored_checksum =
-      [&buffer] {
-        ByteReader tail{buffer.data(), buffer.size()};
-        tail.pos = buffer.size() - 8;
-        return tail.u64v();
-      }();
-  if (fnv1a64(buffer.data(), buffer.size() - 8) != stored_checksum) {
-    return false;
-  }
-  if (!r.need(24)) return false;
-  if (r.u64v() != kCacheFileMagic) return false;
-  if (r.u32() != kCacheFileVersion) return false;
-  r.u32();  // reserved
-  if (!r.need(8)) return false;
-  const u64 count = r.u64v();
+  const std::size_t body = buffer.size() - 8;
+  io::ByteReader tail(buffer.data() + body, 8);
+  if (fnv1a64(buffer.data(), body) != tail.u64v()) return false;
 
   // Parse everything into staging before touching the cache.
   struct Staged {
@@ -163,34 +92,25 @@ bool load_solve_cache(SolveCache& cache, const std::string& path) {
   };
   std::vector<Staged> staged;
   try {
+    io::ByteReader r(buffer.data(), body);
+    if (r.u64v() != kCacheFileMagic) return false;
+    if (r.u64v() != core::schema_fingerprint()) return false;
+    const u64 count = r.u64v();
     for (u64 e = 0; e < count; ++e) {
       Staged s;
-      if (!r.need(37)) return false;  // tag: 3x u64 + 2x u32 + 5x u8
-      s.tag.beta_bits = r.u64v();
-      s.tag.opt_budget = r.u64v();
-      s.tag.xform_budget = r.u64v();
-      s.tag.l_max = static_cast<std::int32_t>(r.u32());
-      s.tag.depth_limit = static_cast<std::int32_t>(r.u32());
-      s.tag.rep = r.u8();
-      s.tag.cse_on_seed = r.u8();
-      s.tag.recursive_levels = r.u8();
-      s.tag.scheme = r.u8();
-      s.tag.xform = r.u8();
-      if (!r.need(8)) return false;
-      const u64 n = r.u64v();
-      if (n > (r.size - r.pos) / 8) return false;
-      s.canonical.resize(static_cast<std::size_t>(n));
-      for (u64 i = 0; i < n; ++i) {
-        s.canonical[static_cast<std::size_t>(i)] =
-            static_cast<i64>(r.u64v());
-      }
-      s.plan = io::deserialize_plan(r.data, r.size, r.pos);
+      const std::uint8_t scheme = r.u8();
+      if (scheme >= core::kNumSchemes) return false;
+      s.tag = {static_cast<core::Scheme>(scheme), core::decode_spec(r)};
+      s.canonical = r.i64_array();
+      std::size_t pos = r.pos();
+      s.plan = io::deserialize_plan(buffer.data(), body, pos);
+      r.skip(pos - r.pos());
       staged.push_back(std::move(s));
     }
+    if (r.remaining() != 0) return false;  // trailing bytes before checksum
   } catch (const Error&) {
-    return false;  // malformed plan frame
+    return false;  // truncated entry, out-of-range spec or malformed plan
   }
-  if (r.pos != r.size) return false;  // trailing bytes before the checksum
 
   // Dry-run validation first so a checksum-valid but semantically invalid
   // (e.g. handcrafted) store rejects without touching the cache at all.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "mrpf/common/error.hpp"
+#include "mrpf/core/scheme_driver.hpp"
 
 namespace mrpf::cache {
 
@@ -127,17 +128,17 @@ void rehydrate(core::Scheme scheme, const std::vector<i64>& bank,
 bool is_canonical_plan(const SolveOptionsTag& tag,
                        const std::vector<i64>& canonical,
                        const core::SynthPlan& plan) {
-  if (tag.scheme >= static_cast<std::uint8_t>(core::kNumSchemes)) return false;
-  const auto scheme = static_cast<core::Scheme>(tag.scheme);
+  const core::Scheme scheme = tag.scheme;
+  if (static_cast<int>(scheme) >= core::kNumSchemes) return false;
   if (plan.scheme != scheme) return false;
   // Pass-tag hygiene: pass-off entries carry neither a resolved budget nor
   // xform provenance; pass-on tags always carry the resolved budget (the
-  // canonical options pin it to >= 1 whenever the pass is on).
-  if (tag.xform > 1) return false;
-  if (tag.xform == 0 && (tag.xform_budget != 0 || plan.xform.has_value())) {
+  // canonical spec pins it to >= 1 whenever the pass is on).
+  const core::PassConfig& passes = tag.spec.passes;
+  if (!passes.xform && (passes.xform_budget != 0 || plan.xform.has_value())) {
     return false;
   }
-  if (tag.xform == 1 && tag.xform_budget == 0) return false;
+  if (passes.xform && passes.xform_budget == 0) return false;
   if (is_trivial_bank(canonical)) return false;  // never cached
   if (plan.taps.size() != canonical.size()) return false;
   if (uses_mrp_canonical_form(scheme)) {
@@ -241,7 +242,9 @@ core::SynthPlan SolveCache::get_or_compute(
     lookup_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
     return compute();
   }
-  const SolveOptionsTag tag = options_tag(scheme, options);
+  // The driver's canonical spec: ignored knobs never fragment the cache.
+  const SolveOptionsTag tag{
+      scheme, core::scheme_driver(scheme).canonical_options(options)};
   const u64 key = cache::solve_key(cb.content_hash, tag);
   Shard& shard = shard_of(key);
   const std::thread::id self = std::this_thread::get_id();

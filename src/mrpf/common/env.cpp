@@ -11,6 +11,9 @@
 #include <optional>
 #include <set>
 
+#include "mrpf/common/error.hpp"
+#include "mrpf/common/format.hpp"
+
 namespace mrpf::env {
 
 namespace {
@@ -113,6 +116,26 @@ ParsedExecMode parse_exec_mode(const char* value) {
   return out;
 }
 
+long long int_flag(const std::string& flag, const std::string& text,
+                   long long lo, long long hi) {
+  const ParsedInt p = parse_int_in_range(text.c_str(), lo, hi);
+  if (!p.well_formed) {
+    throw Error(str_format("%s expects an integer in [%lld, %lld], got \"%s\"",
+                           flag.c_str(), lo, hi, text.c_str()));
+  }
+  return p.value;
+}
+
+double double_flag(const std::string& flag, const std::string& text,
+                   double lo, double hi) {
+  const ParsedDouble p = parse_double_in_range(text.c_str(), lo, hi);
+  if (!p.well_formed) {
+    throw Error(str_format("%s expects a number in [%g, %g], got \"%s\"",
+                           flag.c_str(), lo, hi, text.c_str()));
+  }
+  return p.value;
+}
+
 bool equals_ignore_case(const char* value, const char* lower) {
   if (value == nullptr) return false;
   std::size_t i = 0;
@@ -142,6 +165,20 @@ ParsedCacheKnob parse_cache_knob(const char* value) {
   return out;
 }
 
+long long budget_knob(const char* name) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return 0;
+  // Clamp mirrors core::kMaxOptBudget / kMaxXformBudget (common/ stays
+  // free of core types).
+  const ParsedInt p = parse_positive_int(v, 1'000'000'000'000);
+  if (!p.well_formed) {
+    warn_once(name, "mrpf: ignoring malformed " + std::string(name) + "=\"" +
+                        v + "\" — expected a decimal integer >= 1; using "
+                        "the built-in budget");
+  }
+  return p.value;
+}
+
 KnobSnapshot snapshot_knobs() {
   KnobSnapshot s;
   if (const char* v = std::getenv("MRPF_THREADS")) {
@@ -167,33 +204,8 @@ KnobSnapshot snapshot_knobs() {
                     "\" (expected \"off\", \"0\", or a capacity in MiB)");
     }
   }
-  if (const char* v = std::getenv("MRPF_OPT_BUDGET")) {
-    // Clamp mirrors core::kMaxOptBudget (common/ stays free of core types).
-    const ParsedInt p = parse_positive_int(v, 1'000'000'000'000);
-    if (p.well_formed) {
-      s.opt_budget = p.value;
-    } else {
-      warn_once("MRPF_OPT_BUDGET",
-                "mrpf: ignoring malformed MRPF_OPT_BUDGET=\"" +
-                    std::string(v) +
-                    "\" — expected a decimal integer >= 1; using the "
-                    "built-in search budget");
-    }
-  }
-  if (const char* v = std::getenv("MRPF_XFORM_BUDGET")) {
-    // Clamp mirrors core::kMaxXformBudget (common/ stays free of core
-    // types).
-    const ParsedInt p = parse_positive_int(v, 1'000'000'000'000);
-    if (p.well_formed) {
-      s.xform_budget = p.value;
-    } else {
-      warn_once("MRPF_XFORM_BUDGET",
-                "mrpf: ignoring malformed MRPF_XFORM_BUDGET=\"" +
-                    std::string(v) +
-                    "\" — expected a decimal integer >= 1; using the "
-                    "built-in saturation budget");
-    }
-  }
+  s.opt_budget = budget_knob("MRPF_OPT_BUDGET");
+  s.xform_budget = budget_knob("MRPF_XFORM_BUDGET");
   if (const char* v = std::getenv("MRPF_EXEC")) {
     const ParsedExecMode m = parse_exec_mode(v);
     if (m.well_formed) {

@@ -33,6 +33,14 @@ struct ParsedDouble {
 /// well-formed), finite, within [lo, hi].
 ParsedDouble parse_double_in_range(const char* value, double lo, double hi);
 
+/// Command-line values over the two grammars above: the parsed value, or
+/// mrpf::Error naming the flag ("--beta expects a number in [0, 1], got
+/// \"abc\"").
+long long int_flag(const std::string& flag, const std::string& text,
+                   long long lo, long long hi);
+double double_flag(const std::string& flag, const std::string& text,
+                   double lo, double hi);
+
 /// Case-insensitive comparison against an all-lowercase literal — used for
 /// the "off" spelling of disable knobs.
 bool equals_ignore_case(const char* value, const char* lower);
@@ -82,15 +90,16 @@ struct KnobSnapshot {
   /// MRPF_EXEC: same numbering as ParsedExecMode (2 = vector default).
   int exec_mode = 2;
   int exec_lanes = 0;
-  /// MRPF_OPT_BUDGET when set and well-formed (strict digits-only grammar,
-  /// clamped to 10^12 steps); 0 = unset/malformed (resolve to
-  /// core::kDefaultOptBudget at the use site).
+  /// MRPF_OPT_BUDGET / MRPF_XFORM_BUDGET (budget_knob); 0 = unset or
+  /// malformed, resolved to the core defaults at the use site.
   long long opt_budget = 0;
-  /// MRPF_XFORM_BUDGET, same grammar and clamp as opt_budget; 0 =
-  /// unset/malformed (resolve to core::kDefaultXformBudget at the use
-  /// site). Only a budget: the knob never turns the e-graph pass on.
   long long xform_budget = 0;
 };
+
+/// A step-budget knob (MRPF_OPT_BUDGET, MRPF_XFORM_BUDGET): the
+/// parse_positive_int grammar clamped to 10^12 steps; 0 when unset or
+/// malformed (a malformed value warns once under the knob's name).
+long long budget_knob(const char* name);
 
 /// Reads MRPF_THREADS, MRPF_CACHE, MRPF_EXEC, MRPF_OPT_BUDGET and
 /// MRPF_XFORM_BUDGET once each, applying the

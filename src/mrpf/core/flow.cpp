@@ -86,7 +86,7 @@ SchemeResult optimize_bank(const std::vector<i64>& bank, Scheme scheme,
 SchemeResult optimize_bank(const std::vector<i64>& bank, Scheme scheme,
                            const MrpOptions& options, SolveInfo* info) {
   const SchemeDriver& driver = scheme_driver(scheme);
-  MrpOptions eff = driver.canonical_options(options);
+  MrpOptions eff = driver.canonicalize(options);
   const auto session = open_cache_session(eff);
   SchemeResult out = solve_and_lower(bank, driver, eff, info);
   if (session.has_value()) session->save();
@@ -99,7 +99,7 @@ std::vector<SchemeResult> optimize_bank_batch(
   const SchemeDriver& driver = scheme_driver(scheme);
   std::vector<SchemeResult> results(banks.size());
   ThreadPool pool;  // one pool for every stage of the batch
-  MrpOptions eff = driver.canonical_options(options);
+  MrpOptions eff = driver.canonicalize(options);
   // Inner stages (the MRP color-graph/set-cover shards) reuse the fan-out
   // pool — nesting is safe and workers that run out of solves steal inner
   // shards. Schemes without intra-solve parallelism simply ignore it.

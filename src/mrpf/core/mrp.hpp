@@ -14,6 +14,7 @@
 #include "mrpf/core/color_graph.hpp"
 #include "mrpf/core/scheme.hpp"
 #include "mrpf/core/sidc.hpp"
+#include "mrpf/core/solve_spec.hpp"
 #include "mrpf/core/stage_timers.hpp"
 #include "mrpf/cse/hartley.hpp"
 #include "mrpf/number/repr.hpp"
@@ -26,51 +27,13 @@ namespace mrpf::core {
 
 class SolveCacheHook;
 
-/// Plan-pass pipeline configuration (core/pass_manager.hpp): which passes
-/// run between the SchemeDriver and lower_plan. Carried in canonical
-/// options so the pass set a plan was produced with is part of the
-/// solve-cache fingerprint — pass-on and pass-off entries never mix.
-struct PassConfig {
-  /// Run the e-graph equality-saturation rewrite pass (src/mrpf/xform)
-  /// over the driver's plan before lowering. Off by default, and enabling
-  /// is always explicit (mrpf_synth --xform, mrpf_serve --xform, bench or
-  /// fuzz config) — MRPF_XFORM_BUDGET alone never turns the pass on.
-  bool xform = false;
-  /// Deterministic saturation-step budget of the e-graph pass. 0 means
-  /// "unset": when the pass is enabled, canonical_options resolves it from
-  /// MRPF_XFORM_BUDGET (same grammar as MRPF_OPT_BUDGET) or
-  /// kDefaultXformBudget, so the value the pass actually ran with always
-  /// lands in the cache tag. Pinned to 0 whenever the pass is off, so
-  /// pass-off fingerprints never fragment by budget.
-  long long xform_budget = 0;
+/// The options of one solve: the result-relevant SolveSpec plus session
+/// plumbing that changes wall time, never a result field.
+struct MrpOptions : SolveSpec {
+  /// The result-relevant fields alone.
+  SolveSpec& spec() { return *this; }
+  const SolveSpec& spec() const { return *this; }
 
-  bool operator==(const PassConfig&) const = default;
-};
-
-struct MrpOptions {
-  number::NumberRep rep = number::NumberRep::kSpt;
-  /// Benefit trade-off: f = β·frequency − (1−β)·cost (paper eq. 1).
-  /// β = 0.5 weighs sharing and implementation cost equally; lower values
-  /// model expensive interconnect (§3.3).
-  double beta = 0.5;
-  /// Max predecessor shift (paper: the coefficient wordlength); -1 = auto.
-  int l_max = -1;
-  /// Max spanning-tree height; 0 = unconstrained. Table 1 uses 3.
-  int depth_limit = 0;
-  /// Apply MRP to the SEED network this many more times (§4).
-  int recursive_levels = 0;
-  /// Apply Hartley CSE (CSD) to the SEED network instead (§4, Fig. 8).
-  bool cse_on_seed = false;
-  /// Deterministic search-step budget of the exact branch-and-bound scheme
-  /// (kBnb; see src/mrpf/opt). 0 means "unset": BnbDriver resolves it from
-  /// MRPF_OPT_BUDGET (shared env grammar) or kDefaultOptBudget, so the
-  /// value the solve actually ran with always lands in the cache tag.
-  /// Result-relevant for kBnb only; every other driver resets it to 0.
-  long long opt_budget = 0;
-  /// Plan passes to run between the driver and lowering. Result-relevant
-  /// for every scheme (the e-graph pass can rewrite any plan), so every
-  /// driver's canonical_options resolves it instead of resetting it.
-  PassConfig passes;
   /// Route stage A through the pre-optimization reference kernels
   /// (map-based color graph, full-rescan set cover and root selection).
   /// Differential testing and perf baselines only — the result is
@@ -95,32 +58,12 @@ struct MrpOptions {
   SolveCacheHook* cache = nullptr;
   /// Flow-level persistent cache: when non-empty (and `cache` is null),
   /// core::optimize_bank / optimize_bank_batch open a cache::SolveCache,
-  /// load this file if it exists and is valid (corrupt or version-stale
+  /// load this file if it exists and is valid (corrupt or stale-schema
   /// files are rejected and ignored, never trusted), run with it, and save
   /// it back. MRPF_CACHE=0/off disables this; MRPF_CACHE=<MiB> resizes the
   /// in-memory budget (see cache/session.hpp).
   std::string cache_path;
 };
-
-/// Default kBnb search-step budget when neither MrpOptions::opt_budget nor
-/// MRPF_OPT_BUDGET picks one. Calibrated so the 10-bit single-constant
-/// differential sweep and the Table-1 gap study both solve to proven
-/// optimality well inside a CI minute.
-inline constexpr long long kDefaultOptBudget = 2'000'000;
-
-/// Upper clamp of the MRPF_OPT_BUDGET grammar (absurd budgets are almost
-/// certainly typos; the clamp keeps the knob forgiving).
-inline constexpr long long kMaxOptBudget = 1'000'000'000'000;
-
-/// Default e-graph saturation budget when the pass is enabled but neither
-/// PassConfig::xform_budget nor MRPF_XFORM_BUDGET picks one. Calibrated so
-/// the W=12 catalog saturates to a fixpoint on every bank while a fuzz
-/// case stays well under a millisecond.
-inline constexpr long long kDefaultXformBudget = 500'000;
-
-/// Upper clamp of the MRPF_XFORM_BUDGET grammar (same rationale as
-/// kMaxOptBudget).
-inline constexpr long long kMaxXformBudget = 1'000'000'000'000;
 
 /// One committed computation-order edge: child = σ·(parent<<L) ± ξ.
 struct TreeEdge {

@@ -1,9 +1,7 @@
 #include "mrpf/core/scheme_driver.hpp"
 
-#include <utility>
-
 #include <algorithm>
-#include <cstdlib>
+#include <utility>
 
 #include "mrpf/baseline/diff_mst.hpp"
 #include "mrpf/baseline/ragn.hpp"
@@ -19,76 +17,39 @@ namespace mrpf::core {
 
 namespace {
 
-/// Resolves the 0 = "unset" xform_budget convention, mirroring
-/// resolve_opt_budget below: an explicit budget wins, then
-/// MRPF_XFORM_BUDGET (same strict grammar and warn_once key as
-/// env::snapshot_knobs), then kDefaultXformBudget. Only consulted when the
-/// pass is on — a disabled pass pins the budget to 0 and never touches the
-/// environment, so pass-off cache tags stay stable and the daemon's
-/// env-hygiene (knobs snapshotted once at startup) is preserved.
+/// The 0 = "unset" budget convention: an explicit budget wins (clamped),
+/// then the environment knob, then the built-in default. The daemon never
+/// reaches the getenv: it fills unset budgets from its startup snapshot.
+long long resolve_budget(long long requested, long long max, const char* knob,
+                         long long fallback) {
+  if (requested > 0) return std::min(requested, max);
+  const long long from_env = env::budget_knob(knob);
+  return from_env > 0 ? from_env : fallback;
+}
+
+/// A disabled pass pins the budget to 0 and never touches the
+/// environment, so pass-off keys stay stable.
 PassConfig canonical_passes(const PassConfig& requested) {
-  PassConfig p;
-  p.xform = requested.xform;
-  if (!p.xform) return p;
-  if (requested.xform_budget > 0) {
-    p.xform_budget = std::min(requested.xform_budget, kMaxXformBudget);
-    return p;
-  }
-  if (const char* v = std::getenv("MRPF_XFORM_BUDGET")) {
-    const env::ParsedInt parsed = env::parse_positive_int(v, kMaxXformBudget);
-    if (parsed.well_formed) {
-      p.xform_budget = parsed.value;
-      return p;
-    }
-    env::warn_once("MRPF_XFORM_BUDGET",
-                   "mrpf: ignoring malformed MRPF_XFORM_BUDGET=\"" +
-                       std::string(v) +
-                       "\" — expected a decimal integer >= 1; using the "
-                       "built-in saturation budget");
-  }
-  p.xform_budget = kDefaultXformBudget;
-  return p;
+  if (!requested.xform) return {};
+  return {true, resolve_budget(requested.xform_budget, kMaxXformBudget,
+                               "MRPF_XFORM_BUDGET", kDefaultXformBudget)};
 }
 
-/// Resets every MRP-only knob; the baselines read at most options.rep.
-/// The pass config survives (resolved, not reset) — plan passes apply to
-/// every scheme's plan.
-MrpOptions baseline_options(const MrpOptions& options) {
-  MrpOptions o = options;
-  o.beta = 0.5;
-  o.l_max = -1;
-  o.depth_limit = 0;
-  o.recursive_levels = 0;
-  o.cse_on_seed = false;
-  o.opt_budget = 0;
-  o.passes = canonical_passes(options.passes);
+/// The baselines read at most spec.rep: every other knob is left at its
+/// default. The pass config survives (resolved, not reset) — plan passes
+/// apply to every scheme's plan.
+SolveSpec baseline_spec(const SolveSpec& spec) {
+  SolveSpec o;
+  o.rep = spec.rep;
+  o.passes = canonical_passes(spec.passes);
   return o;
-}
-
-/// Resolves the 0 = "unset" opt_budget convention: an explicit option wins,
-/// then MRPF_OPT_BUDGET (shared strict grammar, same warn_once key and
-/// message as env::snapshot_knobs, so a process never warns twice), then
-/// the built-in default. The daemon never reaches the getenv branch — it
-/// injects its startup snapshot into every request's options.
-long long resolve_opt_budget(long long requested) {
-  if (requested > 0) return std::min(requested, kMaxOptBudget);
-  if (const char* v = std::getenv("MRPF_OPT_BUDGET")) {
-    const env::ParsedInt p = env::parse_positive_int(v, kMaxOptBudget);
-    if (p.well_formed) return p.value;
-    env::warn_once("MRPF_OPT_BUDGET",
-                   "mrpf: ignoring malformed MRPF_OPT_BUDGET=\"" +
-                       std::string(v) +
-                       "\" — expected a decimal integer >= 1; using the "
-                       "built-in search budget");
-  }
-  return kDefaultOptBudget;
 }
 
 class SimpleDriver final : public SchemeDriver {
  public:
   Scheme scheme() const override { return Scheme::kSimple; }
-  MrpOptions canonical_options(const MrpOptions& options) const override {
-    return baseline_options(options);
+  SolveSpec canonical_options(const SolveSpec& spec) const override {
+    return baseline_spec(spec);
   }
   SynthPlan optimize(const std::vector<i64>& bank,
                      const MrpOptions& options) const override {
@@ -101,8 +62,8 @@ class SimpleDriver final : public SchemeDriver {
 class CseDriver final : public SchemeDriver {
  public:
   Scheme scheme() const override { return Scheme::kCse; }
-  MrpOptions canonical_options(const MrpOptions& options) const override {
-    MrpOptions o = baseline_options(options);
+  SolveSpec canonical_options(const SolveSpec& spec) const override {
+    SolveSpec o = baseline_spec(spec);
     o.rep = number::NumberRep::kCsd;  // Hartley CSE is CSD-based
     return o;
   }
@@ -121,8 +82,8 @@ class CseDriver final : public SchemeDriver {
 class DiffMstDriver final : public SchemeDriver {
  public:
   Scheme scheme() const override { return Scheme::kDiffMst; }
-  MrpOptions canonical_options(const MrpOptions& options) const override {
-    return baseline_options(options);
+  SolveSpec canonical_options(const SolveSpec& spec) const override {
+    return baseline_spec(spec);
   }
   SynthPlan optimize(const std::vector<i64>& bank,
                      const MrpOptions& options) const override {
@@ -136,8 +97,8 @@ class DiffMstDriver final : public SchemeDriver {
 class RagnDriver final : public SchemeDriver {
  public:
   Scheme scheme() const override { return Scheme::kRagn; }
-  MrpOptions canonical_options(const MrpOptions& options) const override {
-    MrpOptions o = baseline_options(options);
+  SolveSpec canonical_options(const SolveSpec& spec) const override {
+    SolveSpec o = baseline_spec(spec);
     o.rep = number::NumberRep::kCsd;
     return o;
   }
@@ -155,16 +116,16 @@ class MrpDriver final : public SchemeDriver {
   Scheme scheme() const override {
     return cse_on_seed_ ? Scheme::kMrpCse : Scheme::kMrp;
   }
-  MrpOptions canonical_options(const MrpOptions& options) const override {
-    MrpOptions o = options;
+  SolveSpec canonical_options(const SolveSpec& spec) const override {
+    SolveSpec o = spec;
     o.cse_on_seed = cse_on_seed_;
     o.opt_budget = 0;
-    o.passes = canonical_passes(options.passes);
+    o.passes = canonical_passes(spec.passes);
     return o;
   }
   SynthPlan optimize(const std::vector<i64>& bank,
                      const MrpOptions& options) const override {
-    MrpOptions opts = canonical_options(options);
+    const MrpOptions opts = canonicalize(options);
     const MrpResult result = mrp_optimize(bank, opts);
     return make_mrp_plan(bank, result, opts);
   }
@@ -185,16 +146,17 @@ class MrpDriver final : public SchemeDriver {
 class BnbDriver final : public SchemeDriver {
  public:
   Scheme scheme() const override { return Scheme::kBnb; }
-  MrpOptions canonical_options(const MrpOptions& options) const override {
-    MrpOptions o = options;
+  SolveSpec canonical_options(const SolveSpec& spec) const override {
+    SolveSpec o = spec;
     o.cse_on_seed = false;
-    o.opt_budget = resolve_opt_budget(options.opt_budget);
-    o.passes = canonical_passes(options.passes);
+    o.opt_budget = resolve_budget(spec.opt_budget, kMaxOptBudget,
+                                  "MRPF_OPT_BUDGET", kDefaultOptBudget);
+    o.passes = canonical_passes(spec.passes);
     return o;
   }
   SynthPlan optimize(const std::vector<i64>& bank,
                      const MrpOptions& options) const override {
-    MrpOptions opts = canonical_options(options);
+    const MrpOptions opts = canonicalize(options);
 
     // Greedy upper bound (and fallback plan) via the plain MRP pipeline.
     MrpOptions greedy_opts = opts;
@@ -249,6 +211,12 @@ class BnbDriver final : public SchemeDriver {
 };
 
 }  // namespace
+
+MrpOptions SchemeDriver::canonicalize(const MrpOptions& options) const {
+  MrpOptions o = options;
+  o.spec() = canonical_options(options);
+  return o;
+}
 
 const SchemeDriver& scheme_driver(Scheme scheme) {
   static const SimpleDriver simple;

@@ -21,14 +21,16 @@ class SchemeDriver {
   /// The scheme this driver implements (its cache namespace).
   virtual Scheme scheme() const = 0;
 
-  /// Normalizes the result-relevant option fields for this scheme: knobs
-  /// the scheme ignores (e.g. depth_limit for kSimple) reset to defaults,
-  /// knobs the scheme forces (e.g. CSD for kCse/kRagn, cse_on_seed for
-  /// the MRP pair) are pinned. The solve cache fingerprints the
-  /// normalized options, so irrelevant knob changes never fragment the
-  /// cache; session fields (pool, cache, cache_path, reference-engine
-  /// toggle) pass through untouched.
-  virtual MrpOptions canonical_options(const MrpOptions& options) const = 0;
+  /// Normalizes the spec for this scheme: knobs the scheme ignores (e.g.
+  /// depth_limit for kSimple) reset to defaults, knobs it forces (e.g. CSD
+  /// for kCse/kRagn, cse_on_seed for the MRP pair) are pinned, and unset
+  /// budgets resolve. The solve cache keys on the result, so irrelevant
+  /// knobs never fragment it and no session field can reach a key.
+  virtual SolveSpec canonical_options(const SolveSpec& spec) const = 0;
+
+  /// `options` with its spec canonicalized; the session fields (pool,
+  /// cache, cache_path, reference-engine toggle) pass through untouched.
+  MrpOptions canonicalize(const MrpOptions& options) const;
 
   /// Optimizes the bank into a plan. Deterministic: the plan (timers
   /// excepted) depends only on (bank, canonical options), never on

@@ -66,6 +66,9 @@ class ByteReader {
       : data_(data), size_(size) {}
 
   std::size_t remaining() const { return size_ - pos_; }
+  /// Bytes consumed so far (the offset io::deserialize_plan takes).
+  std::size_t pos() const { return pos_; }
+  void skip(std::size_t n) { need(n); pos_ += n; }
 
   std::uint8_t u8() {
     need(1);

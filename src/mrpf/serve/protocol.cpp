@@ -1,7 +1,5 @@
 #include "mrpf/serve/protocol.hpp"
 
-#include <cmath>
-
 #include "mrpf/common/error.hpp"
 #include "mrpf/io/result_serde.hpp"
 #include "mrpf/io/serde_util.hpp"
@@ -10,36 +8,17 @@ namespace mrpf::serve {
 
 namespace {
 
-// Sanity bounds on request knobs: a request outside these is malformed by
-// construction (MrpOptions caps recursion at 8; a bank larger than this
-// is far beyond any filter the pipeline is sized for and almost certainly
-// a garbage length that survived framing).
+// A bank larger than this is far beyond any filter the pipeline is sized
+// for and almost certainly a garbage length that survived framing.
 constexpr std::size_t kMaxRequestBank = 1u << 20;
-constexpr std::uint8_t kMaxRecursiveLevels = 8;
 
 }  // namespace
-
-core::MrpOptions SynthRequest::to_options() const {
-  core::MrpOptions options;
-  options.rep = static_cast<number::NumberRep>(rep);
-  options.beta = beta;
-  options.l_max = l_max;
-  options.depth_limit = depth_limit;
-  options.cse_on_seed = cse_on_seed;
-  options.recursive_levels = recursive_levels;
-  return options;
-}
 
 std::vector<std::uint8_t> encode_synth_request(const SynthRequest& req) {
   std::vector<std::uint8_t> out;
   io::ByteWriter w(out);
   w.u8(static_cast<std::uint8_t>(req.scheme));
-  w.u8(req.rep);
-  w.u8(req.cse_on_seed ? 1 : 0);
-  w.u8(req.recursive_levels);
-  w.f64(req.beta);
-  w.i32(req.l_max);
-  w.i32(req.depth_limit);
+  core::encode_spec(req.spec, w);
   w.i64_array(req.bank);
   return out;
 }
@@ -48,25 +27,9 @@ SynthRequest decode_synth_request(const std::vector<std::uint8_t>& payload) {
   io::ByteReader r(payload.data(), payload.size());
   SynthRequest req;
   const std::uint8_t scheme = r.u8();
-  MRPF_CHECK(scheme < static_cast<std::uint8_t>(core::kNumSchemes),
-             "synth request: unknown scheme");
+  MRPF_CHECK(scheme < core::kNumSchemes, "synth request: unknown scheme");
   req.scheme = static_cast<core::Scheme>(scheme);
-  req.rep = r.u8();
-  MRPF_CHECK(req.rep <= static_cast<std::uint8_t>(number::NumberRep::kSpt),
-             "synth request: unknown number representation");
-  req.cse_on_seed = r.u8() != 0;
-  req.recursive_levels = r.u8();
-  MRPF_CHECK(req.recursive_levels <= kMaxRecursiveLevels,
-             "synth request: recursive_levels out of range");
-  req.beta = r.f64();
-  MRPF_CHECK(std::isfinite(req.beta) && req.beta >= 0.0 && req.beta <= 1.0,
-             "synth request: beta out of range");
-  req.l_max = r.i32();
-  MRPF_CHECK(req.l_max >= -1 && req.l_max <= 63,
-             "synth request: l_max out of range");
-  req.depth_limit = r.i32();
-  MRPF_CHECK(req.depth_limit >= 0 && req.depth_limit <= 64,
-             "synth request: depth_limit out of range");
+  req.spec = core::decode_spec(r);
   req.bank = r.i64_array();
   MRPF_CHECK(req.bank.size() <= kMaxRequestBank,
              "synth request: bank too large");

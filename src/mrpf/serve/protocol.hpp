@@ -2,23 +2,23 @@
 // io/frame_assembler wire frames (magic+version+type+length+FNV — the
 // same framing shape as the MRS1 plan records the solve cache persists).
 //
-// A SynthRequest is one coefficient bank plus the result-relevant
-// MrpOptions knobs and a scheme; the server answers with a SynthResponse
-// whose payload embeds a standard io::serialize_plan MRS1 frame (so the
-// on-wire plan format and the on-disk cache format are the same bytes),
-// or with an ErrorFrame carrying a structured code + message. A
-// StatsRequest returns the daemon's aggregate counters. Every decode path
-// is strict: unknown schemes, truncated payloads, over-declared counts
-// and trailing bytes all throw mrpf::Error and are answered with an error
-// frame, never trusted.
+// A SynthRequest is one coefficient bank plus a scheme and a
+// core::SolveSpec; the server answers with a SynthResponse whose payload
+// embeds a standard io::serialize_plan MRS1 frame (so the on-wire plan
+// format and the on-disk cache format are the same bytes), or with an
+// ErrorFrame carrying a structured code + message. A StatsRequest returns
+// the daemon's aggregate counters. Every decode path is strict: unknown
+// schemes, out-of-range spec fields, truncated payloads, over-declared
+// counts and trailing bytes all throw mrpf::Error and are answered with an
+// error frame, never trusted.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "mrpf/core/mrp.hpp"
 #include "mrpf/core/scheme.hpp"
+#include "mrpf/core/solve_spec.hpp"
 #include "mrpf/core/synth_plan.hpp"
 
 namespace mrpf::serve {
@@ -27,7 +27,7 @@ namespace mrpf::serve {
 enum class MsgType : std::uint32_t {
   kPing = 1,           ///< Liveness probe; answered with kPong.
   kPong = 2,
-  kSynthRequest = 3,   ///< Bank + options + scheme.
+  kSynthRequest = 3,   ///< Scheme + spec + bank.
   kSynthResponse = 4,  ///< Service flags + serialized SynthPlan.
   kError = 5,          ///< Structured error (code + message).
   kStatsRequest = 6,   ///< Counter snapshot request (empty payload).
@@ -42,23 +42,14 @@ enum class ErrorCode : std::uint32_t {
   kShuttingDown = 4,      ///< Daemon is draining; retry elsewhere.
 };
 
-/// One synthesis request: the bank to optimize plus the result-relevant
-/// option knobs (the wall-clock-only knobs — pool, cache, engine — are
-/// the server's business, never the client's).
+/// One synthesis request: the bank to optimize, its scheme and the whole
+/// result-relevant spec (the wall-clock-only knobs — pool, cache, engine —
+/// are the server's business, never the client's). Spec fields left unset
+/// (0/false) are filled by server policy; see SynthServer::solve.
 struct SynthRequest {
   std::vector<i64> bank;
   core::Scheme scheme = core::Scheme::kMrp;
-  double beta = 0.5;
-  std::int32_t l_max = -1;
-  std::int32_t depth_limit = 0;
-  std::uint8_t rep =
-      static_cast<std::uint8_t>(number::NumberRep::kSpt);  // NumberRep value
-  bool cse_on_seed = false;
-  std::uint8_t recursive_levels = 0;
-
-  /// The MrpOptions this request selects (pool/cache left null — the
-  /// server wires its own).
-  core::MrpOptions to_options() const;
+  core::SolveSpec spec;
 };
 
 /// Service provenance flags a response carries alongside the plan.

@@ -308,22 +308,21 @@ void SynthServer::handle_synth(int fd,
 }
 
 SynthResponse SynthServer::solve(const SynthRequest& request) {
-  core::MrpOptions options = request.to_options();
+  core::MrpOptions options;
+  options.spec() = request.spec;
   options.cache = cache();
-  // The kBnb budget is server policy, not a wire knob: resolve it from the
-  // startup snapshot so the solve path never re-reads the environment.
-  options.opt_budget = config_.knobs.opt_budget != 0
-                           ? config_.knobs.opt_budget
-                           : core::kDefaultOptBudget;
-  // Same for the e-graph pass: --xform enables it, the startup snapshot's
-  // MRPF_XFORM_BUDGET (or the built-in default) sizes it, and the resolved
-  // values are injected here so canonical_options never hits getenv.
-  options.passes.xform = config_.xform;
-  options.passes.xform_budget =
-      config_.xform ? (config_.knobs.xform_budget != 0
-                           ? config_.knobs.xform_budget
-                           : core::kDefaultXformBudget)
-                    : 0;
+  // Explicit wins, else server policy: spec fields the request leaves
+  // unset (0/false) are filled from --xform and the startup knob snapshot,
+  // never from a live getenv, so canonical_options stays env-free here.
+  const auto fill = [](long long& budget, long long knob, long long dflt) {
+    if (budget == 0) budget = knob != 0 ? knob : dflt;
+  };
+  fill(options.opt_budget, config_.knobs.opt_budget, core::kDefaultOptBudget);
+  options.passes.xform = options.passes.xform || config_.xform;
+  if (options.passes.xform) {
+    fill(options.passes.xform_budget, config_.knobs.xform_budget,
+         core::kDefaultXformBudget);
+  }
 
   // Equivalent concurrent requests coalesce inside the cache's
   // single-flight get_or_compute: one leader solves, the rest join it and

@@ -62,8 +62,9 @@ struct ServeConfig {
   /// in-memory only.
   std::string cache_path;
   /// Run the e-graph rewrite pass over every solve (--xform). Server
-  /// policy, not a wire knob: requests never toggle it, so one daemon
-  /// serves one pass namespace and the cache never mixes the two.
+  /// policy for requests that leave passes.xform unset; a request that
+  /// sets it gets the pass either way. The cache keys on the pass config,
+  /// so pass-on and pass-off plans never mix.
   bool xform = false;
   /// The one-shot startup snapshot of MRPF_THREADS / MRPF_CACHE /
   /// MRPF_EXEC / MRPF_OPT_BUDGET / MRPF_XFORM_BUDGET. cache_disabled turns

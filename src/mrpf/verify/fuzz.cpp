@@ -389,7 +389,7 @@ CaseResult run_case(const FuzzCase& c, const FuzzConfig& config) {
   bool pass_on = false;
   try {
     const core::SchemeDriver& driver = core::scheme_driver(c.scheme);
-    const core::MrpOptions canonical = driver.canonical_options(c.options);
+    const core::MrpOptions canonical = driver.canonicalize(c.options);
     plan = driver.optimize(bank, canonical);
     pass_on = canonical.passes.xform;
     if (pass_on) {
@@ -670,28 +670,7 @@ std::string replay_command(const FuzzCase& c) {
   if (any_align) cmd += " --align " + join_int(c.align);
   cmd += " --scheme " + core::to_string(c.scheme);
   cmd += str_format(" --input-bits %d", c.input_bits);
-  if (c.options.beta != 0.5) cmd += str_format(" --beta %g", c.options.beta);
-  if (c.options.depth_limit != 0) {
-    cmd += str_format(" --depth %d", c.options.depth_limit);
-  }
-  if (c.options.recursive_levels != 0) {
-    cmd += str_format(" --recursive %d", c.options.recursive_levels);
-  }
-  if (c.options.l_max != -1) cmd += str_format(" --l-max %d", c.options.l_max);
-  if (c.options.opt_budget != 0) {
-    cmd += str_format(" --opt-budget %lld", c.options.opt_budget);
-  }
-  if (c.options.passes.xform) {
-    cmd += c.options.passes.xform_budget != 0
-               ? str_format(" --xform-budget %lld",
-                            c.options.passes.xform_budget)
-               : std::string(" --xform");
-  }
-  if (c.options.rep == number::NumberRep::kCsd) {
-    cmd += " --rep csd";
-  } else if (c.options.rep == number::NumberRep::kSignMagnitude) {
-    cmd += " --rep sm";
-  }
+  cmd += core::to_flags(c.options);
   if (c.inject != FaultKind::kNone) {
     cmd += " --inject " + to_string(c.inject);
   }

@@ -34,13 +34,16 @@ for scheme in simple cse diff-mst rag-n mrpf mrpf+cse; do
     fail=1
   fi
 done
+# The client takes the whole solve spec through the shared schema parser.
+"$SERVE" --client --unix "$SOCK" --coeffs 7,66,17,9,27,41,57,11 \
+  --scheme mrpf --rep csd --xform || fail=1
 "$SERVE" --client --unix "$SOCK" --stats || fail=1
 
 # Client numeric flags are parsed whole and range-checked: against this
 # live daemon each bad value must be a usage error (exit 2) naming the
 # flag, never a request sent with a wrapped, clamped or truncated value.
 for bad in "--recursive 257" "--beta 0.5x" "--depth -1" "--l-max 64" \
-           "--coeffs 7,x"; do
+           "--coeffs 7,x" "--rep bogus" "--opt-budget -1"; do
   flag="${bad%% *}"
   # shellcheck disable=SC2086 # split "flag value" on purpose
   out="$("$SERVE" --client --unix "$SOCK" --coeffs 7,66 $bad 2>&1)"

@@ -27,6 +27,7 @@
 #include "mrpf/core/flow.hpp"
 #include "mrpf/core/mrp.hpp"
 #include "mrpf/io/result_serde.hpp"
+#include "mrpf/io/serde_util.hpp"
 
 #include "mrp_equality.hpp"
 
@@ -862,10 +863,10 @@ TEST(Persist, RejectsCorruptFilesWholesale) {
 TEST(Persist, RejectsChecksumValidTruncations) {
   // A truncated store whose checksum is recomputed over the shorter file is
   // internally consistent, so rejection must come from the loader's bounds
-  // checks alone. Sweep prefix lengths, pinning the options-tag boundary
-  // (header + 36 of the 37 tag bytes — 28 before the e-graph pass fields)
-  // that once underflowed ByteReader::need into out-of-bounds reads and an
-  // unbounded resize.
+  // checks alone. Sweep prefix lengths, pinning the tag boundary (one
+  // scheme byte plus one word per SolveSpec field) where a short read once
+  // underflowed ByteReader::need into out-of-bounds reads and an unbounded
+  // resize.
   const std::string path = temp_path("truncate");
   {
     SolveCache cache;
@@ -877,9 +878,11 @@ TEST(Persist, RejectsChecksumValidTruncations) {
   }
   const std::vector<std::uint8_t> good = read_bytes(path);
   const std::size_t payload = good.size() - 8;  // sans trailing checksum
-  const std::size_t header = 24;  // magic + version + reserved + count
-  std::vector<std::size_t> keeps = {header + 35, header + 36, header + 37,
-                                    header + 38};
+  const std::size_t header = 24;  // magic + schema fingerprint + count
+  std::size_t tag = 1;
+  core::SolveSpec::visit([&tag](const core::SpecField&, auto) { tag += 8; });
+  std::vector<std::size_t> keeps = {header + tag - 2, header + tag - 1,
+                                    header + tag, header + tag + 1};
   for (std::size_t keep = 0; keep < payload; keep += 1 + payload / 73) {
     keeps.push_back(keep);
   }
@@ -899,11 +902,11 @@ TEST(Persist, RejectsChecksumValidTruncations) {
 }
 
 TEST(Persist, RejectsPreXformFileVersion) {
-  // Version 3 stores carry 28-byte options tags without the e-graph pass
-  // fields; a version-4 loader must reject them wholesale (cold solve and
-  // re-save), never shift-decode the shorter tag.
-  static_assert(kCacheFileVersion == 4,
-                "update this regression when the file version moves");
+  // Version-3 stores carried 28-byte options tags without the e-graph pass
+  // fields. The header now holds the SolveSpec schema fingerprint where the
+  // old u32 version + u32 reserved words sat, so such a store (or any
+  // store written under another field list) must be rejected wholesale
+  // (cold solve and re-save), never shift-decoded.
   const std::string path = temp_path("prexform");
   {
     SolveCache cache;
@@ -913,6 +916,10 @@ TEST(Persist, RejectsPreXformFileVersion) {
     ASSERT_TRUE(save_solve_cache(cache, path));
   }
   std::vector<std::uint8_t> bytes = read_bytes(path);
+  io::ByteReader header(bytes.data() + 8, 8);
+  ASSERT_EQ(header.u64v(), core::schema_fingerprint());
+  ASSERT_NE(core::schema_fingerprint(), 3u);
+  for (int b = 0; b < 8; ++b) bytes[8 + static_cast<std::size_t>(b)] = 0;
   bytes[8] = 3;  // the pre-xform file version, exactly
   const u64 checksum = fnv1a64(bytes.data(), bytes.size() - 8);
   for (int b = 0; b < 8; ++b) {

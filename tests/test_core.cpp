@@ -103,7 +103,7 @@ TEST(SynthPlanLiveness, MarksReachableOpsAndCountsNonZeroTaps) {
   // optimizer schedules is reachable from some tap.
   const SchemeDriver& driver = scheme_driver(Scheme::kMrp);
   const SynthPlan real =
-      driver.optimize(kPaperExample, driver.canonical_options({}));
+      driver.optimize(kPaperExample, driver.canonicalize({}));
   const std::vector<bool> real_live = real.live_ops();
   EXPECT_TRUE(std::all_of(real_live.begin(), real_live.end(),
                           [](bool b) { return b; }));

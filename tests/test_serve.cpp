@@ -24,6 +24,7 @@
 #include "mrpf/serve/protocol.hpp"
 #include "mrpf/serve/server.hpp"
 #include "mrpf/verify/fuzz.hpp"
+#include "spec_words.hpp"
 
 namespace mrpf::serve {
 namespace {
@@ -73,23 +74,24 @@ TEST(Protocol, SynthRequestRoundTripsEveryField) {
   SynthRequest req;
   req.bank = {-7, 0, 66, 17};
   req.scheme = core::Scheme::kMrpCse;
-  req.beta = 0.25;
-  req.l_max = 12;
-  req.depth_limit = 3;
-  req.rep = static_cast<std::uint8_t>(number::NumberRep::kCsd);
-  req.cse_on_seed = true;
-  req.recursive_levels = 2;
+  req.spec.beta = 0.25;
+  req.spec.l_max = 12;
+  req.spec.depth_limit = 3;
+  req.spec.rep = number::NumberRep::kCsd;
+  req.spec.cse_on_seed = true;
+  req.spec.recursive_levels = 2;
   const SynthRequest back = decode_synth_request(encode_synth_request(req));
   EXPECT_EQ(back.bank, req.bank);
   EXPECT_EQ(back.scheme, req.scheme);
-  EXPECT_EQ(back.beta, req.beta);
-  EXPECT_EQ(back.l_max, req.l_max);
-  EXPECT_EQ(back.depth_limit, req.depth_limit);
-  EXPECT_EQ(back.rep, req.rep);
-  EXPECT_EQ(back.cse_on_seed, req.cse_on_seed);
-  EXPECT_EQ(back.recursive_levels, req.recursive_levels);
+  EXPECT_EQ(back.spec.beta, req.spec.beta);
+  EXPECT_EQ(back.spec.l_max, req.spec.l_max);
+  EXPECT_EQ(back.spec.depth_limit, req.spec.depth_limit);
+  EXPECT_EQ(back.spec.rep, req.spec.rep);
+  EXPECT_EQ(back.spec.cse_on_seed, req.spec.cse_on_seed);
+  EXPECT_EQ(back.spec.recursive_levels, req.spec.recursive_levels);
 
-  const core::MrpOptions opts = back.to_options();
+  core::MrpOptions opts;
+  opts.spec() = back.spec;
   EXPECT_EQ(opts.rep, number::NumberRep::kCsd);
   EXPECT_EQ(opts.beta, 0.25);
   EXPECT_EQ(opts.l_max, 12);
@@ -119,19 +121,28 @@ TEST(Protocol, StrictDecodeRejectsOutOfRangeAndTrailingBytes) {
   bad_scheme.bank = kPaperExample;
   std::vector<std::uint8_t> enc = encode_synth_request(bad_scheme);
   // scheme is the first byte after the bank array; corrupt via re-encode:
-  bad_scheme.rep = 9;
+  bad_scheme.spec.rep = static_cast<number::NumberRep>(9);
   EXPECT_THROW(decode_synth_request(encode_synth_request(bad_scheme)),
                Error);
   SynthRequest bad_beta;
   bad_beta.bank = kPaperExample;
-  bad_beta.beta = 1.5;
+  bad_beta.spec.beta = 1.5;
   EXPECT_THROW(decode_synth_request(encode_synth_request(bad_beta)), Error);
   SynthRequest bad_levels;
   bad_levels.bank = kPaperExample;
-  bad_levels.recursive_levels = 99;
+  bad_levels.spec.recursive_levels = 99;
   EXPECT_THROW(decode_synth_request(encode_synth_request(bad_levels)),
                Error);
   (void)enc;
+
+  // Every spec field, each word just outside its range: the spec follows
+  // the scheme byte.
+  for_each_bad_spec_word(
+      [&good](std::size_t index, const core::SpecField& f, u64 word) {
+        std::vector<std::uint8_t> bad = good;
+        put_word(bad, 1 + 8 * index, word);
+        EXPECT_THROW(decode_synth_request(bad), Error) << f.name;
+      });
 }
 
 TEST(Protocol, SchemeByteBoundTracksTheRegistry) {
@@ -198,6 +209,28 @@ TEST(Server, RoundTripsEverySchemeBitIdenticalToDirectSolves) {
     EXPECT_EQ(verify::plan_mismatch(resp.plan, direct.plan), std::nullopt)
         << core::to_string(scheme);
   }
+}
+
+TEST(Server, RequestSpecFieldsWinOverServerPolicy) {
+  // Explicit wins, else server policy: a request that turns the e-graph
+  // pass on gets it from a daemon started without --xform, with exactly
+  // the plan a direct solve of that spec produces (simple on the paper
+  // bank: the pass wins 12 -> 8 adders).
+  ServerFixture fx({}, "reqspec");
+  ServeClient client = fx.client();
+  SynthRequest req;
+  req.bank = kPaperExample;
+  req.scheme = core::Scheme::kSimple;
+  req.spec.passes.xform = true;
+  req.spec.passes.xform_budget = 60'000;
+  const SynthResponse resp = client.synth(req);
+  core::MrpOptions direct;
+  direct.spec() = req.spec;
+  const core::SchemeResult expect =
+      core::optimize_bank(req.bank, req.scheme, direct);
+  EXPECT_EQ(verify::plan_mismatch(resp.plan, expect.plan), std::nullopt);
+  EXPECT_TRUE(resp.plan.xform.has_value());
+  EXPECT_EQ(resp.plan.analytic_adders, 8);
 }
 
 TEST(Server, SecondEquivalentRequestIsAWarmHit) {

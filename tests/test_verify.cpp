@@ -96,7 +96,7 @@ TEST(FuzzInject, FallsBackWhenRequestedSiteIsAbsent) {
   {
     const core::SchemeDriver& driver =
         core::scheme_driver(core::Scheme::kSimple);
-    plan = driver.optimize({4}, driver.canonical_options({}));
+    plan = driver.optimize({4}, driver.canonicalize({}));
   }
   ASSERT_TRUE(plan.ops.empty());
   inject_fault(plan, FaultKind::kOpShift);
@@ -125,7 +125,7 @@ TEST(FuzzPlanMismatch, DetectsEveryCorruptionRunCaseRestsOn) {
   const core::SchemeDriver& driver = core::scheme_driver(core::Scheme::kMrp);
   const std::vector<i64> bank = {7, 66, 17, 9};
   const core::SynthPlan plan =
-      driver.optimize(bank, driver.canonical_options({}));
+      driver.optimize(bank, driver.canonicalize({}));
   EXPECT_EQ(core::plan_mismatch(plan, plan.clone()), std::nullopt);
 
   core::SynthPlan cost = plan.clone();

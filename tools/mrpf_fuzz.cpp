@@ -33,6 +33,7 @@
 
 #include "mrpf/common/error.hpp"
 #include "mrpf/verify/fuzz.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -67,14 +68,6 @@ using namespace mrpf;
                "ci mode:\n"
                "  --ci                        fixed-seed smoke gate\n");
   std::exit(2);
-}
-
-std::vector<i64> parse_ints(const std::string& s) {
-  std::vector<i64> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoll(item));
-  return out;
 }
 
 void print_failures(const verify::FuzzReport& report) {
@@ -207,87 +200,71 @@ int main(int argc, char** argv) {
   bool ci_mode = false;
   std::string json_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--seed") {
-      config.seed = std::strtoull(value().c_str(), nullptr, 0);
-    } else if (arg == "--cases") {
-      config.cases = static_cast<std::size_t>(std::atoll(value().c_str()));
-    } else if (arg == "--time-budget") {
-      config.time_budget_ms = std::atoll(value().c_str());
-    } else if (arg == "--schemes") {
-      std::stringstream ss(value());
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        const std::optional<core::Scheme> s = core::parse_scheme(item);
-        if (!s.has_value()) usage(("unknown scheme " + item).c_str());
-        config.schemes.push_back(*s);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
+        return argv[++i];
+      };
+      if (core::apply_spec_flag(replay.options, arg, value)) continue;
+      if (arg == "--seed") {
+        config.seed = static_cast<std::uint64_t>(
+            env::int_flag(arg, value(), 0, 1LL << 62));
+      } else if (arg == "--cases") {
+        config.cases = static_cast<std::size_t>(
+            env::int_flag(arg, value(), 1, 1'000'000'000));
+      } else if (arg == "--time-budget") {
+        config.time_budget_ms =
+            env::int_flag(arg, value(), 1, 1'000'000'000'000);
+      } else if (arg == "--schemes") {
+        std::stringstream items(value());
+        for (std::string item; std::getline(items, item, ',');) {
+          const std::optional<core::Scheme> s = core::parse_scheme(item);
+          if (!s.has_value()) usage(("unknown scheme " + item).c_str());
+          config.schemes.push_back(*s);
+        }
+      } else if (arg == "--oracles") {
+        config.oracles = {false, false, false, false, false, false};
+        std::stringstream items(value());
+        for (std::string item; std::getline(items, item, ',');) {
+          const std::optional<verify::Oracle> o = verify::parse_oracle(item);
+          if (!o.has_value()) usage(("unknown oracle " + item).c_str());
+          config.oracles[static_cast<std::size_t>(*o)] = true;
+        }
+      } else if (arg == "--inject") {
+        const std::optional<verify::FaultKind> k = verify::parse_fault(value());
+        if (!k.has_value()) usage("unknown fault kind");
+        config.inject = *k;
+        replay.inject = *k;
+      } else if (arg == "--json") {
+        json_path = value();
+      } else if (arg == "--bank") {
+        replay.coefficients = cli::bank_flag(arg, value());
+        replay_mode = true;
+      } else if (arg == "--align") {
+        replay.align = cli::list_flag<int>(arg, value(), 0, 62);
+      } else if (arg == "--scheme") {
+        const std::optional<core::Scheme> s = core::parse_scheme(value());
+        if (!s.has_value()) usage("unknown scheme");
+        replay.scheme = *s;
+      } else if (arg == "--input-bits") {
+        replay.input_bits =
+            static_cast<int>(env::int_flag(arg, value(), 2, 32));
+      } else if (arg == "--ci") {
+        ci_mode = true;
+      } else if (arg == "--help" || arg == "-h") {
+        usage(nullptr);
+      } else {
+        usage(("unknown option " + arg).c_str());
       }
-    } else if (arg == "--oracles") {
-      config.oracles = {false, false, false, false, false, false};
-      std::stringstream ss(value());
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        const std::optional<verify::Oracle> o = verify::parse_oracle(item);
-        if (!o.has_value()) usage(("unknown oracle " + item).c_str());
-        config.oracles[static_cast<std::size_t>(*o)] = true;
-      }
-    } else if (arg == "--inject") {
-      const std::optional<verify::FaultKind> k = verify::parse_fault(value());
-      if (!k.has_value()) usage("unknown fault kind");
-      config.inject = *k;
-      replay.inject = *k;
-    } else if (arg == "--json") {
-      json_path = value();
-    } else if (arg == "--bank") {
-      replay.coefficients = parse_ints(value());
-      replay_mode = true;
-    } else if (arg == "--align") {
-      for (const i64 v : parse_ints(value())) {
-        replay.align.push_back(static_cast<int>(v));
-      }
-    } else if (arg == "--scheme") {
-      const std::optional<core::Scheme> s = core::parse_scheme(value());
-      if (!s.has_value()) usage("unknown scheme");
-      replay.scheme = *s;
-    } else if (arg == "--input-bits") {
-      replay.input_bits = std::atoi(value().c_str());
-    } else if (arg == "--beta") {
-      replay.options.beta = std::atof(value().c_str());
-    } else if (arg == "--depth") {
-      replay.options.depth_limit = std::atoi(value().c_str());
-    } else if (arg == "--recursive") {
-      replay.options.recursive_levels = std::atoi(value().c_str());
-    } else if (arg == "--l-max") {
-      replay.options.l_max = std::atoi(value().c_str());
-    } else if (arg == "--opt-budget") {
-      replay.options.opt_budget = std::atoll(value().c_str());
-    } else if (arg == "--xform") {
-      // Fuzz mode: hammer the pass on every case. Replay mode: enable the
-      // pass with the default budget.
-      config.force_xform = true;
-      replay.options.passes.xform = true;
-    } else if (arg == "--xform-budget") {
-      replay.options.passes.xform = true;
-      replay.options.passes.xform_budget = std::atoll(value().c_str());
-    } else if (arg == "--rep") {
-      const std::string r = value();
-      if (r == "spt") replay.options.rep = number::NumberRep::kSpt;
-      else if (r == "csd") replay.options.rep = number::NumberRep::kCsd;
-      else if (r == "sm") replay.options.rep = number::NumberRep::kSignMagnitude;
-      else usage("unknown representation");
-    } else if (arg == "--ci") {
-      ci_mode = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(nullptr);
-    } else {
-      usage(("unknown option " + arg).c_str());
     }
+  } catch (const Error& e) {
+    usage(e.what());
   }
+  // In fuzz mode --xform (or a budget, which implies it) forces the pass on
+  // for every case.
+  config.force_xform = replay.options.passes.xform;
 
   try {
     if (ci_mode) return run_ci(json_path);

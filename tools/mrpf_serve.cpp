@@ -13,27 +13,31 @@
 //
 //   mrpf_serve --client --unix /tmp/mrpf.sock --coeffs 7,66,17
 //              --scheme mrpf [--beta 0.5] [--depth D] [--recursive N]
+//              [--l-max L] [--rep sm|csd|spt] [--opt-budget N]
+//              [--xform] [--xform-budget N]
 //   mrpf_serve --client --tcp PORT --stats
 //   mrpf_serve --client --unix /tmp/mrpf.sock --ping
 //
+// The client sends the whole solve spec; fields it leaves unset (budgets
+// 0, --xform absent) are filled by the daemon's --xform and its startup
+// MRPF_OPT_BUDGET / MRPF_XFORM_BUDGET snapshot.
+//
 // Environment knobs (MRPF_THREADS / MRPF_CACHE / MRPF_EXEC /
-// MRPF_XFORM_BUDGET) are read exactly once at daemon startup into the
-// config; nothing re-reads the environment mid-run.
+// MRPF_OPT_BUDGET / MRPF_XFORM_BUDGET) are read exactly once at daemon
+// startup into the config; nothing re-reads the environment mid-run.
 //
 // Numeric flags are parsed whole and range-checked (common/env grammar);
 // a malformed or out-of-range value is a usage error naming the flag,
 // exit status 2.
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
-#include <vector>
 
-#include "mrpf/common/env.hpp"
 #include "mrpf/common/error.hpp"
 #include "mrpf/core/scheme.hpp"
 #include "mrpf/serve/client.hpp"
 #include "mrpf/serve/server.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -58,38 +62,14 @@ using namespace mrpf;
                "  --client              one-shot client (needs --unix/--tcp)\n"
                "  --coeffs c0,c1,...    bank to optimize\n"
                "  --scheme NAME         simple|cse|diff-mst|rag-n|mrpf|"
-               "mrpf+cse\n"
+               "mrpf+cse|bnb\n"
                "  --beta B (0..1)  --depth D (0..64)  --recursive N (0..8)\n"
-               "  --l-max L (-1..63, -1 = auto)\n"
+               "  --l-max L (-1..63, -1 = auto)  --rep sm|csd|spt\n"
+               "  --opt-budget N  --xform  --xform-budget N (0 = server\n"
+               "                        policy; a budget implies --xform)\n"
                "  --stats               fetch daemon counters instead\n"
                "  --ping                liveness probe instead\n");
   std::exit(2);
-}
-
-/// A whole-string integer in [lo, hi], or a usage error naming `flag`.
-long long int_flag(const std::string& flag, const std::string& text,
-                   long long lo, long long hi) {
-  const env::ParsedInt parsed = env::parse_int_in_range(text.c_str(), lo, hi);
-  if (!parsed.well_formed) {
-    usage((flag + " expects an integer in [" + std::to_string(lo) + ", " +
-           std::to_string(hi) + "], got \"" + text + "\"")
-              .c_str());
-  }
-  return parsed.value;
-}
-
-std::vector<i64> parse_bank(const std::string& csv) {
-  constexpr long long kMaxCoeff = std::numeric_limits<i64>::max() - 1;
-  std::vector<i64> bank;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    std::size_t next = csv.find(',', pos);
-    if (next == std::string::npos) next = csv.size();
-    bank.push_back(int_flag("--coeffs", csv.substr(pos, next - pos),
-                            -kMaxCoeff, kMaxCoeff));
-    pos = next + 1;
-  }
-  return bank;
 }
 
 int run_client(const std::string& unix_path, int tcp_port,
@@ -159,61 +139,47 @@ int main(int argc, char** argv) {
   serve::SynthRequest request;
   serve::ServeConfig config = serve::serve_config_from_env();
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--unix") {
-      unix_path = value();
-    } else if (arg == "--tcp") {
-      tcp_port = static_cast<int>(int_flag(arg, value(), 0, 65535));
-    } else if (arg == "--workers") {
-      config.workers = static_cast<int>(int_flag(arg, value(), 1, 512));
-    } else if (arg == "--queue-depth") {
-      config.queue_depth =
-          static_cast<std::size_t>(int_flag(arg, value(), 1, 1 << 20));
-    } else if (arg == "--cache") {
-      config.cache_path = value();
-    } else if (arg == "--xform") {
-      config.xform = true;
-    } else if (arg == "--client") {
-      client_mode = true;
-    } else if (arg == "--stats") {
-      do_stats = true;
-    } else if (arg == "--ping") {
-      do_ping = true;
-    } else if (arg == "--coeffs") {
-      request.bank = parse_bank(value());
-    } else if (arg == "--scheme") {
-      const std::string name = value();
-      const auto scheme = core::parse_scheme(name);
-      if (!scheme.has_value()) usage(("unknown scheme " + name).c_str());
-      request.scheme = *scheme;
-    } else if (arg == "--beta") {
-      const std::string text = value();
-      const env::ParsedDouble beta =
-          env::parse_double_in_range(text.c_str(), 0.0, 1.0);
-      if (!beta.well_formed) {
-        usage(("--beta expects a number in [0, 1], got \"" + text + "\"")
-                  .c_str());
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&]() -> std::string {
+        if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
+        return argv[++i];
+      };
+      // Client mode sends the spec; daemon mode takes only --xform.
+      if (core::apply_spec_flag(request.spec, arg, value)) continue;
+      if (arg == "--unix") {
+        unix_path = value();
+      } else if (arg == "--tcp") {
+        tcp_port = static_cast<int>(env::int_flag(arg, value(), 0, 65535));
+      } else if (arg == "--workers") {
+        config.workers = static_cast<int>(env::int_flag(arg, value(), 1, 512));
+      } else if (arg == "--queue-depth") {
+        config.queue_depth = static_cast<std::size_t>(
+            env::int_flag(arg, value(), 1, 1 << 20));
+      } else if (arg == "--cache") {
+        config.cache_path = value();
+      } else if (arg == "--client") {
+        client_mode = true;
+      } else if (arg == "--stats") {
+        do_stats = true;
+      } else if (arg == "--ping") {
+        do_ping = true;
+      } else if (arg == "--coeffs") {
+        request.bank = cli::bank_flag(arg, value());
+      } else if (arg == "--scheme") {
+        const std::string name = value();
+        const auto scheme = core::parse_scheme(name);
+        if (!scheme.has_value()) usage(("unknown scheme " + name).c_str());
+        request.scheme = *scheme;
+      } else if (arg == "--help" || arg == "-h") {
+        usage(nullptr);
+      } else {
+        usage(("unknown option " + arg).c_str());
       }
-      request.beta = beta.value;
-    } else if (arg == "--depth") {
-      request.depth_limit =
-          static_cast<std::int32_t>(int_flag(arg, value(), 0, 64));
-    } else if (arg == "--recursive") {
-      request.recursive_levels =
-          static_cast<std::uint8_t>(int_flag(arg, value(), 0, 8));
-    } else if (arg == "--l-max") {
-      request.l_max =
-          static_cast<std::int32_t>(int_flag(arg, value(), -1, 63));
-    } else if (arg == "--help" || arg == "-h") {
-      usage(nullptr);
-    } else {
-      usage(("unknown option " + arg).c_str());
     }
+  } catch (const Error& e) {
+    usage(e.what());
   }
 
   try {
@@ -223,6 +189,10 @@ int main(int argc, char** argv) {
 
     if (unix_path.empty() && tcp_port < 0) {
       usage("daemon mode needs --unix PATH and/or --tcp PORT");
+    }
+    config.xform = request.spec.passes.xform;
+    if (request.spec != core::SolveSpec{.passes = {.xform = config.xform}}) {
+      usage("daemon mode takes no solve-spec flag but --xform");
     }
     serve::SynthServer server(std::move(config));
     if (!unix_path.empty()) server.bind_unix(unix_path);

@@ -15,10 +15,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +37,7 @@
 #include "mrpf/number/quantize.hpp"
 #include "mrpf/sim/equivalence.hpp"
 #include "mrpf/sim/workload.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -58,7 +57,9 @@ using namespace mrpf;
                "  --scheme NAME               see --list-schemes\n"
                "  --list-schemes              print scheme names and exit\n"
                "  --beta B --depth D          MRP options\n"
-               "  --rep spt|sm                MRP number representation\n"
+               "  --recursive N --l-max L\n"
+               "  --rep spt|csd|sm            number representation\n"
+               "  --opt-budget N              bnb search-step budget\n"
                "  --xform                     run the e-graph rewrite pass\n"
                "                              (MRPF_XFORM_BUDGET sizes it)\n"
                "  --xform-budget N            pass saturation budget\n"
@@ -77,22 +78,6 @@ using namespace mrpf;
                "  --exec-bench                compile the plan for the exec\n"
                "                              engine and smoke-time it\n");
   std::exit(2);
-}
-
-std::vector<double> parse_doubles(const std::string& s) {
-  std::vector<double> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  return out;
-}
-
-std::vector<i64> parse_ints(const std::string& s) {
-  std::vector<i64> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoll(item));
-  return out;
 }
 
 }  // namespace
@@ -114,86 +99,78 @@ int main(int argc, char** argv) {
   int decimate_factor = 0;
   bool shared_bank = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--band") {
-      const std::string b = value();
-      if (b == "lp") spec.band = filter::BandType::kLowPass;
-      else if (b == "hp") spec.band = filter::BandType::kHighPass;
-      else if (b == "bp") spec.band = filter::BandType::kBandPass;
-      else if (b == "bs") spec.band = filter::BandType::kBandStop;
-      else usage("unknown band");
-    } else if (arg == "--method") {
-      const std::string m = value();
-      if (m == "pm") spec.method = filter::DesignMethod::kParksMcClellan;
-      else if (m == "ls") spec.method = filter::DesignMethod::kLeastSquares;
-      else if (m == "bw") spec.method = filter::DesignMethod::kButterworthFir;
-      else if (m == "kw") spec.method = filter::DesignMethod::kKaiserWindow;
-      else usage("unknown method");
-    } else if (arg == "--edges") {
-      spec.edges = parse_doubles(value());
-    } else if (arg == "--taps") {
-      spec.num_taps = std::atoi(value().c_str());
-    } else if (arg == "--ripple") {
-      spec.passband_ripple_db = std::atof(value().c_str());
-    } else if (arg == "--atten") {
-      spec.stopband_atten_db = std::atof(value().c_str());
-    } else if (arg == "--wordlength") {
-      wordlength = std::atoi(value().c_str());
-    } else if (arg == "--input-bits") {
-      input_bits = std::atoi(value().c_str());
-    } else if (arg == "--maximal") {
-      maximal = true;
-    } else if (arg == "--scheme") {
-      const std::string name = value();
-      const std::optional<core::Scheme> parsed = core::parse_scheme(name);
-      if (!parsed.has_value()) usage("unknown scheme (try --list-schemes)");
-      scheme = *parsed;
-    } else if (arg == "--list-schemes") {
-      for (const core::Scheme s : core::all_schemes()) {
-        std::printf("%s\n", core::to_string(s).c_str());
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
+        return argv[++i];
+      };
+      if (core::apply_spec_flag(mrp_opts, arg, value)) continue;
+      if (arg == "--band") {
+        const std::string b = value();
+        if (b == "lp") spec.band = filter::BandType::kLowPass;
+        else if (b == "hp") spec.band = filter::BandType::kHighPass;
+        else if (b == "bp") spec.band = filter::BandType::kBandPass;
+        else if (b == "bs") spec.band = filter::BandType::kBandStop;
+        else usage("unknown band");
+      } else if (arg == "--method") {
+        const std::string m = value();
+        if (m == "pm") spec.method = filter::DesignMethod::kParksMcClellan;
+        else if (m == "ls") spec.method = filter::DesignMethod::kLeastSquares;
+        else if (m == "bw") spec.method = filter::DesignMethod::kButterworthFir;
+        else if (m == "kw") spec.method = filter::DesignMethod::kKaiserWindow;
+        else usage("unknown method");
+      } else if (arg == "--edges") {
+        spec.edges = cli::list_flag(arg, value(), 0.0, 1.0);
+      } else if (arg == "--taps") {
+        spec.num_taps =
+            static_cast<int>(env::int_flag(arg, value(), 1, 1 << 16));
+      } else if (arg == "--ripple") {
+        spec.passband_ripple_db = env::double_flag(arg, value(), 0, 1000);
+      } else if (arg == "--atten") {
+        spec.stopband_atten_db = env::double_flag(arg, value(), 0, 1000);
+      } else if (arg == "--wordlength") {
+        wordlength = static_cast<int>(env::int_flag(arg, value(), 1, 62));
+      } else if (arg == "--input-bits") {
+        input_bits = static_cast<int>(env::int_flag(arg, value(), 2, 32));
+      } else if (arg == "--maximal") {
+        maximal = true;
+      } else if (arg == "--scheme") {
+        const std::string name = value();
+        const std::optional<core::Scheme> parsed = core::parse_scheme(name);
+        if (!parsed.has_value()) usage("unknown scheme (try --list-schemes)");
+        scheme = *parsed;
+      } else if (arg == "--list-schemes") {
+        for (const core::Scheme s : core::all_schemes()) {
+          std::printf("%s\n", core::to_string(s).c_str());
+        }
+        return 0;
+      } else if (arg == "--decimate") {
+        decimate_factor =
+            static_cast<int>(env::int_flag(arg, value(), 1, 1 << 16));
+      } else if (arg == "--shared-bank") {
+        shared_bank = true;
+      } else if (arg == "--coeffs") {
+        explicit_coeffs = cli::bank_flag(arg, value());
+      } else if (arg == "--coeffs-file") {
+        explicit_coeffs = io::read_integer_coefficients(value());
+      } else if (arg == "--cache") {
+        mrp_opts.cache_path = value();
+      } else if (arg == "--json") {
+        json_path = value();
+      } else if (arg == "--verilog") {
+        verilog_path = value();
+      } else if (arg == "--exec-bench") {
+        exec_bench = true;
+      } else if (arg == "--help" || arg == "-h") {
+        usage(nullptr);
+      } else {
+        usage(("unknown option " + arg).c_str());
       }
-      return 0;
-    } else if (arg == "--beta") {
-      mrp_opts.beta = std::atof(value().c_str());
-    } else if (arg == "--depth") {
-      mrp_opts.depth_limit = std::atoi(value().c_str());
-    } else if (arg == "--rep") {
-      const std::string r = value();
-      if (r == "spt") mrp_opts.rep = number::NumberRep::kSpt;
-      else if (r == "sm") mrp_opts.rep = number::NumberRep::kSignMagnitude;
-      else usage("unknown representation");
-    } else if (arg == "--xform") {
-      mrp_opts.passes.xform = true;
-    } else if (arg == "--xform-budget") {
-      mrp_opts.passes.xform = true;
-      mrp_opts.passes.xform_budget = std::atoll(value().c_str());
-    } else if (arg == "--decimate") {
-      decimate_factor = std::atoi(value().c_str());
-      if (decimate_factor < 1) usage("--decimate needs a factor >= 1");
-    } else if (arg == "--shared-bank") {
-      shared_bank = true;
-    } else if (arg == "--coeffs") {
-      explicit_coeffs = parse_ints(value());
-    } else if (arg == "--coeffs-file") {
-      explicit_coeffs = io::read_integer_coefficients(value());
-    } else if (arg == "--cache") {
-      mrp_opts.cache_path = value();
-    } else if (arg == "--json") {
-      json_path = value();
-    } else if (arg == "--verilog") {
-      verilog_path = value();
-    } else if (arg == "--exec-bench") {
-      exec_bench = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(nullptr);
-    } else {
-      usage(("unknown option " + arg).c_str());
     }
+  } catch (const Error& e) {
+    usage(e.what());
   }
   if (shared_bank && decimate_factor == 0) {
     usage("--shared-bank requires --decimate");
