@@ -1,6 +1,7 @@
 #include "mrpf/core/color_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -83,22 +84,70 @@ void enumerate_rows(const std::vector<i64>& primaries, int l_max,
   }
 }
 
-/// Slices the color-sorted (color, edge-index) permutation into classes:
-/// boundary scan, per-class cost, bulk class_edges copy, and the deduped
-/// coverable-target pool. `pool` (nullable) parallelizes the per-class
+/// One edge in the color grouping, carrying the fields class slicing
+/// reads so it never goes back to the (much larger) edge records.
+struct KeyedEdge {
+  i64 color = 0;
+  int index = 0;  // into ColorGraph::edges
+  int to = 0;     // target vertex
+};
+
+/// Groups the edges by color: ascending color, ties in enumeration order,
+/// i.e. the unique (color, index) order. One stable LSD radix sort on the
+/// color alone: each counting pass keeps the previous order within a
+/// bucket, so enumeration order carries through every pass and the index
+/// needs no key digits of its own. Colors are odd, so their always-set low
+/// bit is dropped, and a digit that every key shares is skipped.
+std::vector<KeyedEdge> group_by_color(const std::vector<SidcEdge>& edges) {
+  constexpr int kDigitBits = 11;
+  constexpr u64 kMask = (u64{1} << kDigitBits) - 1;
+  const std::size_t e = edges.size();
+  std::vector<KeyedEdge> keyed(e);
+  u64 max_key = 0;
+  for (std::size_t ei = 0; ei < e; ++ei) {
+    keyed[ei] = {edges[ei].color, static_cast<int>(ei), edges[ei].to};
+    max_key = std::max(max_key, static_cast<u64>(edges[ei].color) >> 1);
+  }
+  std::vector<KeyedEdge> scratch(e);
+  std::vector<std::size_t> bucket(kMask + 1);
+  const int key_bits = static_cast<int>(std::bit_width(max_key));
+  for (int shift = 0; shift < key_bits; shift += kDigitBits) {
+    const auto digit = [shift](const KeyedEdge& k) {
+      return static_cast<std::size_t>(
+          ((static_cast<u64>(k.color) >> 1) >> shift) & kMask);
+    };
+    std::fill(bucket.begin(), bucket.end(), 0);
+    for (const KeyedEdge& k : keyed) ++bucket[digit(k)];
+    if (bucket[digit(keyed[0])] == e) continue;
+    std::exclusive_scan(bucket.begin(), bucket.end(), bucket.begin(),
+                        std::size_t{0});
+    for (const KeyedEdge& k : keyed) scratch[bucket[digit(k)]++] = k;
+    keyed.swap(scratch);
+  }
+  return keyed;
+}
+
+/// Slices the color-grouped edges into classes: boundary scan, per-class
+/// cost, bulk class_edges copy, and the deduped coverable-target pool. `pool` (nullable) parallelizes the per-class
 /// work; the output is identical either way because every class is
 /// processed independently and compaction runs in class order.
-void slice_classes(ColorGraph& g, const std::vector<std::pair<i64, int>>& keyed,
+void slice_classes(ColorGraph& g, const std::vector<KeyedEdge>& keyed,
                    const ColorGraphOptions& options, ThreadPool* pool) {
   const std::size_t e = keyed.size();
   g.class_edges.resize(e);
-  // Boundary scan: one class per maximal run of equal colors.
+  // Boundary scan: one class per maximal run of equal colors, counted
+  // first so the class array is allocated once.
+  std::size_t runs = e > 0 ? 1 : 0;
+  for (std::size_t k = 1; k < e; ++k) {
+    runs += static_cast<std::size_t>(keyed[k].color != keyed[k - 1].color);
+  }
   g.classes.clear();
+  g.classes.reserve(runs);
   for (std::size_t lo = 0; lo < e;) {
     std::size_t hi = lo;
-    while (hi < e && keyed[hi].first == keyed[lo].first) ++hi;
+    while (hi < e && keyed[hi].color == keyed[lo].color) ++hi;
     ColorClass cls;
-    cls.color = keyed[lo].first;
+    cls.color = keyed[lo].color;
     cls.edges_begin = static_cast<int>(lo);
     cls.edges_end = static_cast<int>(hi);
     g.classes.push_back(cls);
@@ -116,8 +165,8 @@ void slice_classes(ColorGraph& g, const std::vector<std::pair<i64, int>>& keyed,
     const std::size_t lo = static_cast<std::size_t>(cls.edges_begin);
     const std::size_t hi = static_cast<std::size_t>(cls.edges_end);
     for (std::size_t k = lo; k < hi; ++k) {
-      g.class_edges[k] = keyed[k].second;
-      scratch[k] = g.edges[static_cast<std::size_t>(keyed[k].second)].to;
+      g.class_edges[k] = keyed[k].index;
+      scratch[k] = keyed[k].to;
     }
     std::sort(scratch.begin() + static_cast<std::ptrdiff_t>(lo),
               scratch.begin() + static_cast<std::ptrdiff_t>(hi));
@@ -178,11 +227,11 @@ ColorGraph build_color_graph(const std::vector<i64>& primaries,
   g.l_max = l_max;
 
   // Flat scheme: enumerate every edge into one exactly-sized contiguous
-  // vector, sort an index permutation by canonical color, and slice the
-  // runs into classes — no per-edge node allocation, no tree walk. With a
-  // pool, rows shard across workers: row i contributes exactly
+  // vector, radix-group an index permutation by canonical color, and slice
+  // the runs into classes — no per-edge node allocation, no tree walk. With
+  // a pool, rows shard across workers: row i contributes exactly
   // 2·(l_max+1)·(n−1) edges, so every shard writes a disjoint slice at a
-  // closed-form offset and the merged order equals the serial order.
+  // closed-form offset and the concatenation equals the serial order.
   const std::size_t row_stride = 2u * static_cast<std::size_t>(l_max + 1) *
                                  static_cast<std::size_t>(n > 0 ? n - 1 : 0);
   const std::size_t num_edges = static_cast<std::size_t>(n) * row_stride;
@@ -205,55 +254,7 @@ ColorGraph build_color_graph(const std::vector<i64>& primaries,
     enumerate_rows(primaries, l_max, 0, n, g.edges.data());
   }
 
-  // (color, edge index) keyed grouping; ties on index keep each class's
-  // edge list in enumeration order, exactly like the map-based reference.
-  // Keys are unique (the index), so the sorted permutation is the same
-  // total order no matter how — or on how many shards — it was sorted.
-  std::vector<std::pair<i64, int>> keyed(num_edges);
-  const auto fill_keys = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t ei = lo; ei < hi; ++ei) {
-      keyed[ei] = {g.edges[ei].color, static_cast<int>(ei)};
-    }
-  };
-  if (sharded) {
-    pool->parallel_for(shards, [&](std::size_t s) {
-      const std::size_t lo = num_edges * s / shards;
-      const std::size_t hi = num_edges * (s + 1) / shards;
-      fill_keys(lo, hi);
-      std::sort(keyed.begin() + static_cast<std::ptrdiff_t>(lo),
-                keyed.begin() + static_cast<std::ptrdiff_t>(hi));
-    });
-    // Ordered merge: pairwise inplace_merge rounds over the sorted blocks.
-    // Disjoint pairs merge in parallel; the block boundaries depend only
-    // on (num_edges, shards) and the final order is the unique sorted one.
-    std::vector<std::size_t> bounds;
-    for (std::size_t s = 0; s <= shards; ++s) {
-      bounds.push_back(num_edges * s / shards);
-    }
-    while (bounds.size() > 2) {
-      std::vector<std::size_t> next_bounds;
-      const std::size_t pairs = (bounds.size() - 1) / 2;
-      pool->parallel_for(pairs, [&](std::size_t p) {
-        const std::size_t lo = bounds[2 * p];
-        const std::size_t mid = bounds[2 * p + 1];
-        const std::size_t hi = bounds[2 * p + 2];
-        std::inplace_merge(keyed.begin() + static_cast<std::ptrdiff_t>(lo),
-                           keyed.begin() + static_cast<std::ptrdiff_t>(mid),
-                           keyed.begin() + static_cast<std::ptrdiff_t>(hi));
-      });
-      for (std::size_t b = 0; b < bounds.size(); b += 2) {
-        next_bounds.push_back(bounds[b]);
-      }
-      if (next_bounds.back() != bounds.back()) {
-        next_bounds.push_back(bounds.back());
-      }
-      bounds = std::move(next_bounds);
-    }
-  } else {
-    fill_keys(0, num_edges);
-    std::sort(keyed.begin(), keyed.end());
-  }
-
+  const std::vector<KeyedEdge> keyed = group_by_color(g.edges);
   slice_classes(g, keyed, options, sharded ? pool : nullptr);
   return g;
 }

@@ -79,17 +79,17 @@ struct ColorGraphOptions {
 };
 
 /// Flat construction: enumerate all edges into one pre-reserved vector,
-/// sort an index permutation by canonical color, slice the runs into
-/// contiguous classes. Allocation-light and cache-friendly; the hot path
-/// of every `mrp_optimize` call.
+/// group an index permutation by canonical color with a stable LSD radix
+/// sort, slice the runs into contiguous classes. Allocation-light and
+/// cache-friendly; the hot path of every `mrp_optimize` call.
 ///
-/// With a non-null `pool`, construction shards internally: row blocks of
-/// the edge enumeration write disjoint slices at closed-form offsets, the
-/// color permutation is block-sorted and merged in order, and the
-/// per-class cost/coverable work fans out over class blocks. Every shard
-/// writes only its own slice and the merge order is the unique sorted
-/// order, so the result is field-for-field identical to the serial build
-/// for every pool size (and to the map reference).
+/// With a non-null `pool`, the edge enumeration shards over row blocks
+/// that write disjoint slices at closed-form offsets, and the per-class
+/// cost/coverable work fans out over class blocks; the radix grouping runs
+/// serially. Every shard writes only its own slice and the grouping is the
+/// unique (color, edge index) order, so the result is field-for-field
+/// identical to the serial build for every pool size (and to the map
+/// reference).
 ColorGraph build_color_graph(const std::vector<i64>& primaries,
                              const ColorGraphOptions& options = {},
                              ThreadPool* pool = nullptr);

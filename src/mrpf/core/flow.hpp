@@ -56,6 +56,9 @@ std::vector<SchemeResult> optimize_bank_batch(
 /// Builds a complete, bit-exact TDF filter for the coefficient vector.
 /// Symmetric vectors are folded first (the multiplier block covers the
 /// unique half); `align` are per-tap alignment shifts (maximal scaling).
+/// This solves optimization_bank(coefficients); a caller that already
+/// holds the SchemeResult for that bank expands its block with
+/// expand_block_to_tdf instead of solving again.
 arch::TdfFilter build_tdf(const std::vector<i64>& coefficients,
                           const std::vector<int>& align, Scheme scheme,
                           const MrpOptions& options = {});

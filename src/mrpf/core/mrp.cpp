@@ -286,15 +286,43 @@ MrpResult solve_mrp(const std::vector<i64>& constants,
       cover = graph::greedy_weighted_set_cover_reference(
           n, sets, graph::paper_benefit(options.beta));
     } else {
+      // Most classes cover a single target. Among the single-target
+      // classes of one vertex, the one with the lowest (cost, color) ranks
+      // first whenever it is live: paper_benefit is non-increasing in cost
+      // and the greedy breaks ties on cost, then color. Its rivals become
+      // dead once that vertex is covered, so they can never be picked and
+      // the greedy runs over the survivors plus every multi-target class.
+      // Classes are sorted by color, so the first of the lowest cost wins.
+      const auto target = [&cg](const ColorClass& cls) -> std::size_t {
+        return static_cast<std::size_t>(
+            cg.class_coverable[static_cast<std::size_t>(cls.cov_begin)]);
+      };
+      std::vector<int> single(static_cast<std::size_t>(n), -1);
+      for (std::size_t c = 0; c < cg.classes.size(); ++c) {
+        const ColorClass& cls = cg.classes[c];
+        if (cls.num_coverable() != 1) continue;
+        int& best = single[target(cls)];
+        if (best == -1 ||
+            cls.cost < cg.classes[static_cast<std::size_t>(best)].cost) {
+          best = static_cast<int>(c);
+        }
+      }
+      std::vector<int> kept;  // cover-instance index -> class index
       std::vector<graph::CoverSetView> sets;
-      sets.reserve(cg.classes.size());
-      for (const ColorClass& cls : cg.classes) {
+      for (std::size_t c = 0; c < cg.classes.size(); ++c) {
+        const ColorClass& cls = cg.classes[c];
+        if (cls.num_coverable() == 1 &&
+            single[target(cls)] != static_cast<int>(c)) {
+          continue;
+        }
+        kept.push_back(static_cast<int>(c));
         sets.push_back({cg.class_coverable.data() + cls.cov_begin,
                         cls.num_coverable(), static_cast<double>(cls.cost),
                         cls.color});
       }
       cover = graph::greedy_weighted_set_cover(
           n, sets, graph::paper_benefit(options.beta), options.pool);
+      for (int& si : cover.chosen) si = kept[static_cast<std::size_t>(si)];
     }
   }
   r.timers.set_cover.items = static_cast<std::uint64_t>(cg.classes.size());

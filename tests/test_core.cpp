@@ -352,6 +352,54 @@ std::vector<i64> random_primaries(Rng& rng, int count, int wordlength) {
   return {vals.begin(), vals.end()};
 }
 
+/// Field-for-field equality of two color graphs (every edge, class, and
+/// pool entry), shared by the reference-differential and pooled-build
+/// tests.
+void expect_same_color_graph(const ColorGraph& a, const ColorGraph& b) {
+  ASSERT_EQ(a.vertices, b.vertices);
+  ASSERT_EQ(a.l_max, b.l_max);
+  ASSERT_EQ(a.edges.size(), b.edges.size());
+  for (std::size_t e = 0; e < a.edges.size(); ++e) {
+    const SidcEdge& x = a.edges[e];
+    const SidcEdge& y = b.edges[e];
+    ASSERT_TRUE(x.from == y.from && x.to == y.to && x.l == y.l &&
+                x.pred_negate == y.pred_negate && x.xi == y.xi &&
+                x.color == y.color && x.color_shift == y.color_shift &&
+                x.color_negate == y.color_negate)
+        << "edge " << e;
+  }
+  ASSERT_EQ(a.class_edges, b.class_edges);
+  ASSERT_EQ(a.class_coverable, b.class_coverable);
+  ASSERT_EQ(a.classes.size(), b.classes.size());
+  for (std::size_t c = 0; c < a.classes.size(); ++c) {
+    const ColorClass& x = a.classes[c];
+    const ColorClass& y = b.classes[c];
+    ASSERT_TRUE(x.color == y.color && x.cost == y.cost &&
+                x.edges_begin == y.edges_begin && x.edges_end == y.edges_end &&
+                x.cov_begin == y.cov_begin && x.cov_end == y.cov_end)
+        << "class " << c;
+  }
+}
+
+/// Wide primaries shifted far: a bank of up to 24 primaries of 30–48 bits
+/// at l_max 11–13 has colors up to 2^61, so the radix color grouping sorts
+/// on every digit of its key, not just the low ones a W ≤ 16 bank reaches.
+/// CSD/SPT digit recoding needs |color| < 2^61, so the SPT trials use the
+/// smaller shift; sign-magnitude has no range limit.
+std::vector<std::pair<std::vector<i64>, ColorGraphOptions>> wide_graph_cases(
+    Rng& rng, int min_count) {
+  std::vector<std::pair<std::vector<i64>, ColorGraphOptions>> cases;
+  for (int trial = 0; trial < 6; ++trial) {
+    const int count = static_cast<int>(rng.next_int(min_count, 24));
+    const int wordlength = static_cast<int>(rng.next_int(30, 48));
+    ColorGraphOptions opts;
+    opts.rep = trial % 2 == 0 ? NumberRep::kSignMagnitude : NumberRep::kSpt;
+    opts.l_max = opts.rep == NumberRep::kSpt ? 11 : 13;
+    cases.emplace_back(random_primaries(rng, count, wordlength), opts);
+  }
+  return cases;
+}
+
 TEST(ColorGraph, FlatMatchesMapReferenceFieldForField) {
   Rng rng(0x51DC);
   for (int trial = 0; trial < 24; ++trial) {
@@ -389,25 +437,63 @@ TEST(ColorGraph, FlatMatchesMapReferenceFieldForField) {
           << "class " << c;
     }
   }
+  for (const auto& [primaries, opts] : wide_graph_cases(rng, 2)) {
+    expect_same_color_graph(build_color_graph(primaries, opts),
+                            build_color_graph_reference(primaries, opts));
+  }
+  // The widest case reaches the top digit of the 61-bit key.
+  const std::vector<i64> wide = {3, (i64{1} << 47) + 1};
+  ColorGraphOptions opts;
+  opts.l_max = 13;
+  opts.rep = NumberRep::kSignMagnitude;
+  const ColorGraph flat = build_color_graph(wide, opts);
+  EXPECT_GT(flat.classes.back().color, i64{1} << 59);
+  expect_same_color_graph(flat, build_color_graph_reference(wide, opts));
 }
 
 TEST(Mrp, OptimizedEngineMatchesReferenceEngine) {
-  // The flat color graph + lazy cover + incremental root selection must
-  // reproduce the seed engine's solution exactly, not just its cost.
+  // The flat color graph + lazy cover over the reduced cover instance +
+  // incremental root selection must reproduce the seed engine's solution
+  // exactly, not just its cost — for every benefit weight and number
+  // representation, with and without a depth limit, on banks up to 40
+  // taps at W = 16.
   Rng rng(0xE2E);
-  std::vector<std::vector<i64>> banks = {kPaperExample};
+  std::vector<std::pair<std::vector<i64>, MrpOptions>> cases = {
+      {kPaperExample, MrpOptions{}}};
   for (int trial = 0; trial < 10; ++trial) {
     const int taps = static_cast<int>(rng.next_int(2, 20));
     const i64 limit = (i64{1} << 12) - 1;
     std::vector<i64> bank;
     for (int t = 0; t < taps; ++t) bank.push_back(rng.next_int(-limit, limit));
-    banks.push_back(std::move(bank));
+    cases.emplace_back(std::move(bank), MrpOptions{});
   }
-  for (const std::vector<i64>& bank : banks) {
-    MrpOptions opts;
-    opts.rep = NumberRep::kSpt;
+  int sweep = 0;
+  for (const double beta : {0.0, 0.3, 0.5, 1.0}) {
+    for (const NumberRep rep : {NumberRep::kSignMagnitude, NumberRep::kCsd,
+                                NumberRep::kSpt}) {
+      for (const int wordlength : {12, 16}) {
+        const int taps = static_cast<int>(
+            rng.next_int(2, wordlength == 16 ? 40 : 20));
+        const i64 limit = (i64{1} << (wordlength - 1)) - 1;
+        std::vector<i64> bank;
+        for (int t = 0; t < taps; ++t) {
+          bank.push_back(rng.next_int(-limit, limit));
+        }
+        MrpOptions opts;
+        opts.beta = beta;
+        opts.rep = rep;
+        opts.depth_limit = sweep++ % 3 == 0 ? 2 : 0;
+        cases.emplace_back(std::move(bank), opts);
+      }
+    }
+  }
+  for (const auto& [bank, opts] : cases) {
     MrpOptions ref_opts = opts;
     ref_opts.use_reference_engine = true;
+    SCOPED_TRACE(::testing::Message()
+                 << "beta " << opts.beta << " rep "
+                 << static_cast<int>(opts.rep) << " taps " << bank.size()
+                 << " depth " << opts.depth_limit);
     expect_same_mrp_result(mrp_optimize(bank, opts),
                            mrp_optimize(bank, ref_opts));
   }
@@ -433,35 +519,6 @@ TEST(Mrp, BatchIsDeterministicAcrossThreadCounts) {
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     expect_same_mrp_result(one[i], four[i]);
-  }
-}
-
-/// Field-for-field equality of two color graphs (every edge, class, and
-/// pool entry), shared by the reference-differential and pooled-build
-/// tests.
-void expect_same_color_graph(const ColorGraph& a, const ColorGraph& b) {
-  ASSERT_EQ(a.vertices, b.vertices);
-  ASSERT_EQ(a.l_max, b.l_max);
-  ASSERT_EQ(a.edges.size(), b.edges.size());
-  for (std::size_t e = 0; e < a.edges.size(); ++e) {
-    const SidcEdge& x = a.edges[e];
-    const SidcEdge& y = b.edges[e];
-    ASSERT_TRUE(x.from == y.from && x.to == y.to && x.l == y.l &&
-                x.pred_negate == y.pred_negate && x.xi == y.xi &&
-                x.color == y.color && x.color_shift == y.color_shift &&
-                x.color_negate == y.color_negate)
-        << "edge " << e;
-  }
-  ASSERT_EQ(a.class_edges, b.class_edges);
-  ASSERT_EQ(a.class_coverable, b.class_coverable);
-  ASSERT_EQ(a.classes.size(), b.classes.size());
-  for (std::size_t c = 0; c < a.classes.size(); ++c) {
-    const ColorClass& x = a.classes[c];
-    const ColorClass& y = b.classes[c];
-    ASSERT_TRUE(x.color == y.color && x.cost == y.cost &&
-                x.edges_begin == y.edges_begin && x.edges_end == y.edges_end &&
-                x.cov_begin == y.cov_begin && x.cov_end == y.cov_end)
-        << "class " << c;
   }
 }
 
@@ -500,11 +557,10 @@ TEST(ColorGraph, OverflowBoundaryIsExact) {
 }
 
 TEST(ColorGraph, PooledBuildMatchesSerialForEveryPoolSize) {
-  // The sharded build (row-blocked enumeration, block-sorted merge,
-  // parallel class slicing) must be field-for-field identical to the
-  // serial flat build — and therefore to the map reference — for any pool
-  // size. Primaries are sized so the sharded path actually engages
-  // (>= 1024 edges).
+  // The sharded build (row-blocked enumeration, parallel class slicing)
+  // must be field-for-field identical to the serial flat build — and
+  // therefore to the map reference — for any pool size. Primaries are
+  // sized so the sharded path actually engages (>= 1024 edges).
   Rng rng(0x5AAD);
   for (const int threads : {2, 3, 8}) {
     ThreadPool pool(threads);
@@ -516,6 +572,17 @@ TEST(ColorGraph, PooledBuildMatchesSerialForEveryPoolSize) {
       }();
       ColorGraphOptions opts;
       opts.rep = trial % 2 == 0 ? NumberRep::kSpt : NumberRep::kSignMagnitude;
+      const ColorGraph serial = build_color_graph(primaries, opts);
+      const ColorGraph pooled = build_color_graph(primaries, opts, &pool);
+      ASSERT_GE(pooled.edges.size(), 1024u);
+      expect_same_color_graph(pooled, serial);
+    }
+  }
+  // Wide primaries, with every radix digit in play, at every pool size
+  // including a one-thread pool.
+  for (const int threads : {1, 2, 3, 8}) {
+    ThreadPool pool(threads);
+    for (const auto& [primaries, opts] : wide_graph_cases(rng, 12)) {
       const ColorGraph serial = build_color_graph(primaries, opts);
       const ColorGraph pooled = build_color_graph(primaries, opts, &pool);
       ASSERT_GE(pooled.edges.size(), 1024u);
@@ -558,6 +625,37 @@ TEST(Mrp, PooledSolveMatchesSerialAndRecordsStageTimers) {
     EXPECT_EQ(serial.timers.seed_synthesis.items,
               pooled.timers.seed_synthesis.items);
   }
+}
+
+TEST(Mrp, TiedSingleTargetClassesKeepTheSmallerColor) {
+  // Primaries 5 and 23 at l_max 2: colors 7 and 9 cover both vertices;
+  // 3 and 33 are single-target classes of vertex 23 with the same SPT
+  // cost (2) as 7 and 9. With beta 0 the benefit is −cost, so every
+  // cost-2 class ties and the smallest color goes first: 3, then 7 for
+  // the vertex 5 that is left. Keeping 33 instead of 3 for vertex 23
+  // would let 7 go first and cover both, a different solution.
+  const std::vector<i64> bank = {5, 23};
+  MrpOptions opts;
+  opts.beta = 0.0;
+  opts.l_max = 2;
+  const ColorGraph cg =
+      build_color_graph(bank, ColorGraphOptions{opts.l_max, opts.rep});
+  for (const i64 color : {i64{3}, i64{33}}) {
+    const int c = cg.class_of(color);
+    ASSERT_GE(c, 0) << color;
+    const ColorClass& cls = cg.classes[static_cast<std::size_t>(c)];
+    ASSERT_EQ(cls.cost, 2) << color;
+    ASSERT_EQ(cls.num_coverable(), 1) << color;
+    ASSERT_EQ(cg.coverable_ids(cls)[0], 1) << color;
+  }
+
+  const MrpResult r = mrp_optimize(bank, opts);
+  EXPECT_EQ(r.solution_colors, (std::vector<i64>{3, 7}));
+  // The work count still covers every class, not the reduced instance.
+  EXPECT_EQ(r.timers.set_cover.items, cg.classes.size());
+  MrpOptions ref_opts = opts;
+  ref_opts.use_reference_engine = true;
+  expect_same_mrp_result(r, mrp_optimize(bank, ref_opts));
 }
 
 class MrpRandomBank : public ::testing::TestWithParam<int> {};

@@ -18,10 +18,12 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mrpf/arch/cost_model.hpp"
 #include "mrpf/arch/verilog.hpp"
+#include "mrpf/cache/session.hpp"
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/rng.hpp"
 #include "mrpf/core/flow.hpp"
@@ -72,6 +74,7 @@ using namespace mrpf;
                "  --coeffs c0,c1,...          skip design, optimize bank\n"
                "  --coeffs-file FILE          read an integer bank from FILE\n"
                "  --cache FILE                persistent solve cache store\n"
+               "                              (prints the run's hits/misses)\n"
                "  --json FILE                 write a JSON report to FILE\n"
                "  --verilog FILE              write Verilog to FILE\n"
                "  --input-bits N              data width (default 12)\n"
@@ -177,6 +180,26 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // One cache session for the whole run: every solve (both polyphase
+    // modes, recursive SEED levels) shares it, and the store is read and
+    // written once.
+    std::optional<cache::SolveCacheSession> session;
+    if (!mrp_opts.cache_path.empty()) {
+      session.emplace(mrp_opts.cache_path);
+      mrp_opts.cache = session->cache();
+      mrp_opts.cache_path.clear();
+    }
+    const auto finish_cache = [&session] {
+      if (!session.has_value() || session->cache() == nullptr) return;
+      const cache::CacheStats stats = session->cache()->stats();
+      std::printf("cache: %llu hits, %llu misses\n",
+                  static_cast<unsigned long long>(stats.hits),
+                  static_cast<unsigned long long>(stats.misses));
+      if (!session->save()) {
+        std::fprintf(stderr, "warning: could not write the cache store\n");
+      }
+    };
+
     std::vector<i64> coefficients;
     std::vector<int> align;
     if (explicit_coeffs.has_value()) {
@@ -215,6 +238,7 @@ int main(int argc, char** argv) {
           decimate_factor, per_branch.analytic_adders(),
           shared.analytic_adders(),
           shared_bank ? "shared" : "per-branch");
+      finish_cache();
       const core::PolyphaseDecimator& dec = shared_bank ? shared : per_branch;
       Rng rng(0xDEC1);
       std::vector<i64> x;
@@ -229,7 +253,8 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<i64> bank = core::optimization_bank(coefficients);
-    const core::SchemeResult opt = core::optimize_bank(bank, scheme, mrp_opts);
+    core::SchemeResult opt = core::optimize_bank(bank, scheme, mrp_opts);
+    finish_cache();
     std::printf("%s\n", core::describe(opt, input_bits).c_str());
     if (opt.plan.xform.has_value()) {
       std::printf("xform pass  : %d -> %d adders (%lld steps%s)\n",
@@ -251,7 +276,7 @@ int main(int argc, char** argv) {
     }
 
     const arch::TdfFilter tdf =
-        core::build_tdf(coefficients, align, scheme, mrp_opts);
+        core::expand_block_to_tdf(coefficients, align, std::move(opt.block));
     const sim::EquivalenceReport eq =
         sim::check_equivalence_suite(tdf, input_bits);
     std::printf("verification: %s\n", eq.to_string().c_str());
