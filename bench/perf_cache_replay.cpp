@@ -17,8 +17,8 @@
 //
 // `--ci` reduces the workload and gates hard on deterministic properties
 // only: every result bit-identical to the uncached solve, 100% second-pass
-// hit rate (including, per scheme, for every non-MRP scheme in the flow
-// replay), and corrupt-store fallback correctness. The warm-over-cold
+// hit rate (including, per scheme, for every scheme in the flow replay),
+// and corrupt-store fallback correctness. The warm-over-cold
 // speedup is a wall-clock ratio — noisy on shared runners and on the small
 // --ci workload — so it is reported (here and in the JSON) but never gated.
 #include <array>
@@ -33,6 +33,7 @@
 #include "mrpf/cache/session.hpp"
 #include "mrpf/cache/solve_cache.hpp"
 #include "mrpf/common/rng.hpp"
+#include "mrpf/core/flow.hpp"
 #include "mrpf/core/mrp.hpp"
 #include "mrpf/core/scheme.hpp"
 
@@ -104,6 +105,13 @@ bool same_result(const core::MrpResult& a, const core::MrpResult& b) {
   return true;
 }
 
+/// Cached results are the MRP provenance of flow plans: plan.mrp must be
+/// present and equal to the fresh solve.
+bool same_plan_mrp(const core::SchemeResult& cached,
+                   const core::MrpResult& fresh) {
+  return cached.plan.mrp.has_value() && same_result(*cached.plan.mrp, fresh);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,20 +151,23 @@ int main(int argc, char** argv) {
   fresh = core::mrp_optimize_batch(banks, opts);
   const double fresh_ns = now_ns() - fresh_t0;
 
-  // Cold pass: empty cache, full solves + dedup grouping + inserts.
+  // Cold pass: empty cache, full solves + single-flight dedup + inserts.
+  // The cached passes go through the flow, the one place a solve meets
+  // the cache.
   cache::SolveCache solve_cache;
   core::MrpOptions cached_opts = opts;
   cached_opts.cache = &solve_cache;
+  const auto cached_batch = [&banks](const core::MrpOptions& o) {
+    return core::optimize_bank_batch(banks, core::Scheme::kMrp, o);
+  };
   const double cold_t0 = now_ns();
-  const std::vector<core::MrpResult> cold =
-      core::mrp_optimize_batch(banks, cached_opts);
+  const std::vector<core::SchemeResult> cold = cached_batch(cached_opts);
   const double cold_ns = now_ns() - cold_t0;
   const cache::CacheStats cold_stats = solve_cache.stats();
 
   // Warm pass: everything should be served from the cache.
   const double warm_t0 = now_ns();
-  const std::vector<core::MrpResult> warm =
-      core::mrp_optimize_batch(banks, cached_opts);
+  const std::vector<core::SchemeResult> warm = cached_batch(cached_opts);
   const double warm_ns = now_ns() - warm_t0;
   const cache::CacheStats warm_stats = solve_cache.stats();
   const u64 warm_hits = warm_stats.hits - cold_stats.hits;
@@ -177,10 +188,11 @@ int main(int argc, char** argv) {
   core::MrpOptions reloaded_opts = opts;
   reloaded_opts.cache = &reloaded;
   const double disk_t0 = now_ns();
-  const std::vector<core::MrpResult> from_disk =
-      core::mrp_optimize_batch(banks, reloaded_opts);
+  const std::vector<core::SchemeResult> from_disk =
+      cached_batch(reloaded_opts);
   const double disk_warm_ns = now_ns() - disk_t0;
-  const bool disk_all_hits = reloaded.stats().misses == 0;
+  const bool disk_all_hits = reloaded.stats().misses == 0 &&
+                             reloaded.stats().hits == solves;
 
   // Corruption fallback: flip a byte mid-store; the session must come up
   // cold (load rejected wholesale) and still produce correct solves.
@@ -201,9 +213,9 @@ int main(int argc, char** argv) {
       if (corrupt_handled) {
         core::MrpOptions corrupt_opts = opts;
         corrupt_opts.cache = session.cache();
-        const core::MrpResult check =
-            core::mrp_optimize(banks[0], corrupt_opts);
-        corrupt_handled = same_result(check, fresh[0]);
+        const core::SchemeResult check =
+            core::optimize_bank(banks[0], core::Scheme::kMrp, corrupt_opts);
+        corrupt_handled = same_plan_mrp(check, fresh[0]);
       }
     }
   }
@@ -211,18 +223,15 @@ int main(int argc, char** argv) {
 
   bool identical = cold.size() == fresh.size() && warm.size() == fresh.size();
   for (std::size_t i = 0; identical && i < fresh.size(); ++i) {
-    identical = same_result(cold[i], fresh[i]) &&
-                same_result(warm[i], fresh[i]) &&
-                same_result(from_disk[i], fresh[i]);
+    identical = same_plan_mrp(cold[i], fresh[i]) &&
+                same_plan_mrp(warm[i], fresh[i]) &&
+                same_plan_mrp(from_disk[i], fresh[i]);
   }
 
   // Flow replay: the same catalog banks through the unified SchemeDriver
   // pipeline, every scheme, cold pass then warm pass against one live
   // cache. The warm pass must be pure cache service for every scheme; the
-  // --ci gate below pins the non-MRP schemes at a 100% rate (the MRP
-  // schemes hold it too and are reported, but their counters also cover
-  // the solver's internal memoization layer, so the field-for-field gate
-  // for them lives in test_scheme_driver).
+  // --ci gate below pins every scheme at a 100% rate.
   struct FlowReplay {
     double cold_ns = 0;
     double warm_ns = 0;
@@ -346,9 +355,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
     for (const core::Scheme scheme : core::all_schemes()) {
-      if (scheme == core::Scheme::kMrp || scheme == core::Scheme::kMrpCse) {
-        continue;  // reported above; gated field-for-field in the tests
-      }
       const FlowReplay& r = flow[static_cast<std::size_t>(scheme)];
       if (r.hit_rate < 1.0) {
         std::fprintf(stderr,

@@ -25,6 +25,7 @@
 #include "mrpf/cache/solve_cache.hpp"
 #include "mrpf/common/parallel.hpp"
 #include "mrpf/core/color_graph.hpp"
+#include "mrpf/core/flow.hpp"
 #include "mrpf/core/mrp.hpp"
 #include "mrpf/core/sidc.hpp"
 #include "mrpf/graph/set_cover.hpp"
@@ -97,6 +98,20 @@ bool all_same(const std::vector<core::MrpResult>& a,
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (!same_result(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// Cached flow results against fresh solves: every plan must carry MRP
+/// provenance equal to the fresh result.
+bool all_same(const std::vector<core::MrpResult>& fresh,
+              const std::vector<core::SchemeResult>& cached) {
+  if (fresh.size() != cached.size()) return false;
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    if (!cached[i].plan.mrp.has_value() ||
+        !same_result(fresh[i], *cached[i].plan.mrp)) {
+      return false;
+    }
   }
   return true;
 }
@@ -225,22 +240,29 @@ int main(int argc, char** argv) {
   // --- Solve cache: a cold batch populates the cache, a warm batch must
   // be all hits; both must stay bit-identical to the uncached solves, and
   // the same must hold after a save/load round-trip through the persistent
-  // store. Cold is one-shot (a second rep would be warm); warm gets the
-  // usual best-of-reps.
+  // store. The cached batches go through the flow (kMrp), the one place a
+  // solve meets the cache. Cold is one-shot (a second rep would be warm);
+  // warm gets the usual best-of-reps.
   cache::SolveCache solve_cache;
   core::MrpOptions cached_opts = opts;
   cached_opts.cache = &solve_cache;
-  std::vector<core::MrpResult> cache_cold_results;
+  const auto cached_batch = [&banks](const core::MrpOptions& o) {
+    return core::optimize_bank_batch(banks, core::Scheme::kMrp, o);
+  };
+  std::vector<core::SchemeResult> cache_cold_results;
   const double cache_cold_t0 = now_ns();
-  cache_cold_results = core::mrp_optimize_batch(banks, cached_opts);
+  cache_cold_results = cached_batch(cached_opts);
   const double cache_cold_ns = now_ns() - cache_cold_t0;
-  const u64 misses_after_cold = solve_cache.stats().misses;
-  std::vector<core::MrpResult> cache_warm_results;
-  const double cache_warm_ns = time_ns([&] {
-    cache_warm_results = core::mrp_optimize_batch(banks, cached_opts);
-  });
+  const cache::CacheStats cold_stats = solve_cache.stats();
+  std::vector<core::SchemeResult> cache_warm_results;
+  const double cache_warm_ns = time_ns(
+      [&] { cache_warm_results = cached_batch(cached_opts); });
   const cache::CacheStats cache_stats = solve_cache.stats();
-  const bool warm_all_hits = cache_stats.misses == misses_after_cold;
+  // Every warm request of every rep is a hit, and none is a miss.
+  const bool warm_all_hits =
+      cache_stats.misses == cold_stats.misses &&
+      cache_stats.hits - cold_stats.hits ==
+          static_cast<u64>(g_reps) * static_cast<u64>(solves);
   const double warm_speedup = cache_warm_ns > 0
                                   ? cache_cold_ns / cache_warm_ns
                                   : 0.0;
@@ -252,9 +274,10 @@ int main(int argc, char** argv) {
   persist_ok = persist_ok && cache::load_solve_cache(reloaded, store_path);
   core::MrpOptions reloaded_opts = opts;
   reloaded_opts.cache = &reloaded;
-  const std::vector<core::MrpResult> persisted_results =
-      core::mrp_optimize_batch(banks, reloaded_opts);
-  const bool persisted_all_hits = reloaded.stats().misses == 0;
+  const std::vector<core::SchemeResult> persisted_results =
+      cached_batch(reloaded_opts);
+  const bool persisted_all_hits = reloaded.stats().misses == 0 &&
+                                  reloaded.stats().hits == solves;
   std::remove(store_path.c_str());
 
   // --- Bit-identical: serial vs pooled vs parallel vs reference engine.

@@ -1,7 +1,6 @@
 #include "mrpf/cache/fingerprint.hpp"
 
-#include <algorithm>
-
+#include <utility>
 
 namespace mrpf::cache {
 
@@ -22,19 +21,6 @@ CanonicalBank canonicalize(const std::vector<i64>& bank) {
   cb.refs = std::move(pb.refs);
   cb.content_hash = canonical_content_hash(cb.values);
   return cb;
-}
-
-std::vector<i64> shared_union_bank(
-    const std::vector<std::vector<i64>>& branch_banks) {
-  std::vector<i64> u;
-  for (const std::vector<i64>& bank : branch_banks) {
-    for (const i64 c : bank) {
-      if (c != 0) u.push_back(c);
-    }
-  }
-  std::sort(u.begin(), u.end());
-  u.erase(std::unique(u.begin(), u.end()), u.end());
-  return u;
 }
 
 CanonicalBank canonicalize(core::Scheme scheme, const std::vector<i64>& bank) {

@@ -57,18 +57,6 @@ struct CanonicalBank {
 /// MRP-group canonicalization (kMrp/kMrpCse).
 CanonicalBank canonicalize(const std::vector<i64>& bank);
 
-/// Deterministic union bank of a shared-bank (multi-branch) solve: the
-/// distinct non-zero coefficient values across every branch, sorted
-/// ascending. This is the bank core::SharedBankGroup feeds through the
-/// ordinary solve pipeline, so the shared-bank solve key is just the key
-/// of this vector — invariant under branch order and under how the union
-/// is partitioned into branches (two different polyphase factorizations of
-/// the same tap multiset share one cache entry), and cache / serde / the
-/// daemon need no shared-bank awareness at all. May be empty (every
-/// branch all-zero); the group layer handles that without a solve.
-std::vector<i64> shared_union_bank(
-    const std::vector<std::vector<i64>>& branch_banks);
-
 /// Scheme-dispatching canonicalization: the MRP group for kMrp/kMrpCse,
 /// the identity group (bank verbatim, no refs) for every other scheme.
 CanonicalBank canonicalize(core::Scheme scheme, const std::vector<i64>& bank);
@@ -79,7 +67,7 @@ CanonicalBank canonicalize(core::Scheme scheme, const std::vector<i64>& bank);
 bool uses_mrp_canonical_form(core::Scheme scheme);
 
 /// What selects a distinct solve besides the bank: the scheme and the
-/// scheme's canonical SolveSpec. Session fields (pool, cache, cache_path,
+/// scheme's canonical SolveSpec. Session fields (pool, cache,
 /// use_reference_engine) cannot reach it — they change wall time, never a
 /// result field. Stored alongside each cache entry so a lookup match is
 /// exact, not just hash-equal.
@@ -99,8 +87,8 @@ u64 canonical_content_hash(const std::vector<i64>& canonical_values);
 /// equal keys are intended to share one cache entry; SolveCache still
 /// verifies the canonical words and tag before trusting a hit.
 u64 solve_key(u64 content_hash, const SolveOptionsTag& tag);
-/// Key of an mrp_optimize-level solve: the scheme follows cse_on_seed and
-/// the spec is taken verbatim.
+/// Key of an MRP-scheme solve: the scheme (kMrp or kMrpCse) follows
+/// cse_on_seed and the spec is taken verbatim.
 u64 solve_key(const CanonicalBank& canonical, const core::SolveSpec& spec);
 
 }  // namespace mrpf::cache

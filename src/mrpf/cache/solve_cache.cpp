@@ -313,10 +313,8 @@ core::SynthPlan SolveCache::get_or_compute(
     }
     {
       // Store, then retire the flight, under one lock: a caller arriving
-      // from now on finds the entry. Idempotent: the flow's solve and
-      // mrp_optimize's memo nested in it can both store one key — the
-      // second offer is a no-op (and not an insert), so counters stay
-      // one-insert-per-miss.
+      // from now on finds the entry. A solve outside single flight (a
+      // re-entered key or a 64-bit collision) may find it stored already.
       const std::lock_guard<std::mutex> lock(shard.mu);
       if (find_locked(shard, key, tag, entry.canonical) == shard.lru.end()) {
         insert_locked(shard, std::move(entry));

@@ -21,10 +21,8 @@
 // mrpf::Error with the same message (each thread throws its own object, so
 // no exception object crosses threads), the flight is removed, and the
 // next caller leads afresh. A thread that re-enters a key it already leads
-// (the flow's solve nesting mrp_optimize's memo under the same key) probes,
-// solves and stores as a plain cache would, instead of waiting on itself.
-// Nested keys follow a fixed order (pass-on → pass-off, bnb → mrpf,
-// recursive level r → r−1), so waits across threads cannot cycle.
+// probes, solves and stores as a plain cache would, instead of waiting on
+// itself.
 //
 // Counters (hit/miss/insert/evict, per-scheme hit/miss, plus wall ns,
 // StageTimers-style) are process-cheap atomics; bench/perf_mrp_sweep and

@@ -1,10 +1,8 @@
 #include "mrpf/core/flow.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
-#include "mrpf/cache/session.hpp"
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/parallel.hpp"
 #include "mrpf/core/pass_manager.hpp"
@@ -15,27 +13,14 @@ namespace mrpf::core {
 
 namespace {
 
-/// Flow-level cache_path wiring: when the caller named a store file but
-/// did not supply a live cache hook, open a session around the solve(s).
-/// The returned session (when engaged) owns the hook now installed in
-/// `opts`; the caller saves it after solving. MRPF_CACHE=off makes the
-/// session hand out a null hook, which simply means "solve fresh".
-std::optional<cache::SolveCacheSession> open_cache_session(MrpOptions& opts) {
-  std::optional<cache::SolveCacheSession> session;
-  if (opts.cache == nullptr && !opts.cache_path.empty()) {
-    session.emplace(opts.cache_path);
-    opts.cache = session->cache();
-    opts.cache_path.clear();
-  }
-  return session;
-}
-
 /// One (bank, scheme, options) synthesis through the unified pipeline:
 /// single-flight cache lookup → driver optimize → plan passes (the e-graph
-/// rewriter, when enabled) → the one shared lowering path. `options` must
-/// already be the driver's canonical options. Passes run inside the
-/// cached computation, so cached plans are post-pass and a hit rehydrates
-/// the rewritten plan bit-identically. On a hit the plan's optimize/stage
+/// rewriter, when enabled) → the one shared lowering path. This is the
+/// only place a solve meets the cache: drivers and mrp_optimize never
+/// probe it, so a solve costs one lookup. `options` must already be the
+/// driver's canonical options. Passes run inside the cached computation,
+/// so cached plans are post-pass and a hit rehydrates the rewritten plan
+/// bit-identically. On a hit the plan's optimize/stage
 /// timers travel from the original solve; the lowering sample is always
 /// from this call.
 SchemeResult solve_and_lower(const std::vector<i64>& bank,
@@ -86,11 +71,7 @@ SchemeResult optimize_bank(const std::vector<i64>& bank, Scheme scheme,
 SchemeResult optimize_bank(const std::vector<i64>& bank, Scheme scheme,
                            const MrpOptions& options, SolveInfo* info) {
   const SchemeDriver& driver = scheme_driver(scheme);
-  MrpOptions eff = driver.canonicalize(options);
-  const auto session = open_cache_session(eff);
-  SchemeResult out = solve_and_lower(bank, driver, eff, info);
-  if (session.has_value()) session->save();
-  return out;
+  return solve_and_lower(bank, driver, driver.canonicalize(options), info);
 }
 
 std::vector<SchemeResult> optimize_bank_batch(
@@ -104,12 +85,9 @@ std::vector<SchemeResult> optimize_bank_batch(
   // pool — nesting is safe and workers that run out of solves steal inner
   // shards. Schemes without intra-solve parallelism simply ignore it.
   eff.pool = &pool;
-  const auto session = open_cache_session(eff);
-
   pool.parallel_for(banks.size(), [&](std::size_t i) {
     results[i] = solve_and_lower(banks[i], driver, eff);
   });
-  if (session.has_value()) session->save();
   return results;
 }
 

@@ -32,9 +32,10 @@ struct SchemeResult {
 };
 
 /// Optimizes a constant bank (no folding applied here). Dispatches
-/// through the SchemeDriver registry: cache probe (options.cache /
-/// options.cache_path — every scheme is cached, not just MRP), driver
-/// optimize on a miss, shared lowering.
+/// through the SchemeDriver registry: one cache probe per solve
+/// (options.cache — every scheme is cached, not just MRP), driver optimize
+/// on a miss, shared lowering. A caller that wants a persistent store
+/// opens a cache::SolveCacheSession and passes session.cache().
 SchemeResult optimize_bank(const std::vector<i64>& bank, Scheme scheme,
                            const MrpOptions& options = {});
 

@@ -229,12 +229,13 @@ MrpResult MrpResult::clone() const {
   return c;
 }
 
-namespace {
-
-/// The uncached solve behind mrp_optimize. Recursive SEED solves go back
-/// through mrp_optimize, so they memoize too.
-MrpResult solve_mrp(const std::vector<i64>& constants,
-                    const MrpOptions& options) {
+MrpResult mrp_optimize(const std::vector<i64>& constants,
+                       const MrpOptions& options) {
+  MRPF_CHECK(options.beta >= 0.0 && options.beta <= 1.0,
+             "mrp: beta outside [0,1]");
+  MRPF_CHECK(options.depth_limit >= 0, "mrp: negative depth limit");
+  MRPF_CHECK(options.recursive_levels >= 0 && options.recursive_levels <= 8,
+             "mrp: recursive_levels out of range");
   MrpResult r;
   const auto t_begin = std::chrono::steady_clock::now();
   const auto finish_total = [&r, t_begin] {
@@ -424,24 +425,6 @@ MrpResult solve_mrp(const std::vector<i64>& constants,
   return r;
 }
 
-}  // namespace
-
-MrpResult mrp_optimize(const std::vector<i64>& constants,
-                       const MrpOptions& options) {
-  MRPF_CHECK(options.beta >= 0.0 && options.beta <= 1.0,
-             "mrp: beta outside [0,1]");
-  MRPF_CHECK(options.depth_limit >= 0, "mrp: negative depth limit");
-  MRPF_CHECK(options.recursive_levels >= 0 && options.recursive_levels <= 8,
-             "mrp: recursive_levels out of range");
-  if (options.cache == nullptr) return solve_mrp(constants, options);
-  // A hit or join is a rehydrated deep copy of an equivalent canonical
-  // solve — field-for-field identical to the fresh solve, so the cache can
-  // never change a result, only skip recomputing it. Recursive SEED solves
-  // memoize under their own key (recursive_levels differs).
-  return options.cache->get_or_compute_mrp(
-      constants, options, [&] { return solve_mrp(constants, options); });
-}
-
 std::vector<MrpResult> mrp_optimize_batch(const std::vector<MrpBatchJob>& jobs) {
   // Outer grain: one index per solve. Inner grain: every solve hands the
   // same pool down through options.pool, so the sharded color-graph and
@@ -449,7 +432,7 @@ std::vector<MrpResult> mrp_optimize_batch(const std::vector<MrpBatchJob>& jobs) 
   // out of solves — the pool is nesting-safe and never oversubscribed.
   // Each worker writes only the results[i] it claimed, and the inner
   // stages are shard-count-independent, so the batch stays bit-identical
-  // to a serial loop for every thread count, with or without a cache.
+  // to a serial loop for every thread count.
   std::vector<MrpResult> results(jobs.size());
   ThreadPool pool;
   pool.parallel_for(jobs.size(), [&](std::size_t i) {

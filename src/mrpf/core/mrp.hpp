@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "mrpf/core/color_graph.hpp"
@@ -47,22 +46,13 @@ struct MrpOptions : SolveSpec {
   /// the pool runs nested loops inline with work stealing. Borrowed, never
   /// owned; must outlive the call.
   ThreadPool* pool = nullptr;
-  /// Cross-solve memoization: when non-null, mrp_optimize solves through
-  /// the cache's single-flight get_or_compute, so an equivalent bank (same
-  /// canonical fingerprint — see cache/fingerprint.hpp) solved before, or
-  /// in flight on another thread, is reused. A rehydrated hit is
-  /// field-for-field identical to the fresh solve (timers excepted — they
-  /// travel from the original solve), so results never depend on cache
-  /// state. Must be thread-safe (the batch runners share it across
+  /// The solve cache (cache::SolveCache): core::optimize_bank /
+  /// optimize_bank_batch probe it once per solve (see core/flow.hpp), and
+  /// a hit is field-for-field identical to the fresh solve (timers
+  /// excepted), so results never depend on cache state. mrp_optimize
+  /// ignores it. Must be thread-safe (the batch runners share it across
   /// workers). Borrowed, never owned.
   SolveCacheHook* cache = nullptr;
-  /// Flow-level persistent cache: when non-empty (and `cache` is null),
-  /// core::optimize_bank / optimize_bank_batch open a cache::SolveCache,
-  /// load this file if it exists and is valid (corrupt or stale-schema
-  /// files are rejected and ignored, never trusted), run with it, and save
-  /// it back. MRPF_CACHE=0/off disables this; MRPF_CACHE=<MiB> resizes the
-  /// in-memory budget (see cache/session.hpp).
-  std::string cache_path;
 };
 
 /// One committed computation-order edge: child = σ·(parent<<L) ± ξ.
@@ -124,13 +114,12 @@ struct SolveInfo {
   bool joined = false;
 };
 
-/// Cross-solve cache interface consumed by the flow layer and
-/// mrp_optimize. Entries are scheme-tagged SynthPlans, so every scheme
-/// shares one cache. The concrete implementation (cache::SolveCache —
-/// canonical fingerprinting, sharded in-memory LRU, single-flight solves,
-/// optional persistent store) lives in src/mrpf/cache; core only depends
-/// on this abstract hook so the dependency points cache → core. All
-/// methods must be thread-safe.
+/// Cross-solve cache interface consumed by the flow layer. Entries are
+/// scheme-tagged SynthPlans, so every scheme shares one cache. The
+/// concrete implementation (cache::SolveCache — canonical fingerprinting,
+/// sharded in-memory LRU, single-flight solves, optional persistent store)
+/// lives in src/mrpf/cache; core only depends on this abstract hook so the
+/// dependency points cache → core. All methods must be thread-safe.
 class SolveCacheHook {
  public:
   virtual ~SolveCacheHook() = default;
@@ -147,18 +136,12 @@ class SolveCacheHook {
                                    Scheme scheme, const MrpOptions& options,
                                    const std::function<SynthPlan()>& compute,
                                    SolveInfo* info) = 0;
-
-  /// MrpResult-level form used by mrp_optimize's internal memoization
-  /// (including recursive SEED solves): the scheme is derived from
-  /// options.cse_on_seed and the MrpResult travels inside a SynthPlan
-  /// (see core/synth_plan.cpp).
-  MrpResult get_or_compute_mrp(const std::vector<i64>& bank,
-                               const MrpOptions& options,
-                               const std::function<MrpResult()>& compute);
 };
 
 /// Runs MRP stage A + tree construction over a constant bank (typically
-/// the folded coefficient half of a symmetric filter). Deterministic.
+/// the folded coefficient half of a symmetric filter). Deterministic. A
+/// pure solver: options.cache is ignored — cached solves go through
+/// core::optimize_bank with Scheme::kMrp / kMrpCse.
 MrpResult mrp_optimize(const std::vector<i64>& constants,
                        const MrpOptions& options = {});
 
@@ -172,10 +155,9 @@ struct MrpBatchJob {
 /// MRPF_THREADS, see common/parallel.hpp; options.pool is reused as the
 /// fan-out pool when non-null). Every result slot is written only by the
 /// worker that claimed it, so results[i] is bit-identical to a serial
-/// mrp_optimize(banks[i], options) regardless of thread count. With
-/// options.cache set, the cache's single-flight get_or_compute solves each
-/// equivalence class live once; the rest rehydrate or join, which
-/// preserves the bit-identity guarantee because cached == fresh.
+/// mrp_optimize(banks[i], options) regardless of thread count. Like
+/// mrp_optimize it ignores options.cache; core::optimize_bank_batch is the
+/// cached batch front-end.
 std::vector<MrpResult> mrp_optimize_batch(
     const std::vector<std::vector<i64>>& banks,
     const MrpOptions& options = {});

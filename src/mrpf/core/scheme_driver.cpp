@@ -136,8 +136,8 @@ class MrpDriver final : public SchemeDriver {
 
 /// The exact scheme: branch-and-bound over shift-add fundamentals
 /// (src/mrpf/opt) seeded by the greedy MRP solve as its upper bound. The
-/// greedy sub-solve runs with opt_budget reset to 0, so it shares the
-/// plain-kMrp cache slot with direct kMrp solves. Four outcomes:
+/// greedy sub-solve runs with opt_budget reset to 0 and travels inside the
+/// kBnb plan; it makes no cache entry of its own. Four outcomes:
 ///   - the search finds a strictly better chain  -> exact plan, tagged won
 ///   - every shallower depth is exhausted        -> greedy plan, proven
 ///   - budget runs out / bank too big / emission -> greedy plan, unproven

@@ -29,7 +29,7 @@ class SchemeDriver {
   virtual SolveSpec canonical_options(const SolveSpec& spec) const = 0;
 
   /// `options` with its spec canonicalized; the session fields (pool,
-  /// cache, cache_path, reference-engine toggle) pass through untouched.
+  /// cache, reference-engine toggle) pass through untouched.
   MrpOptions canonicalize(const MrpOptions& options) const;
 
   /// Optimizes the bank into a plan. Deterministic: the plan (timers

@@ -3,14 +3,26 @@
 #include <algorithm>
 #include <utility>
 
-#include "mrpf/cache/fingerprint.hpp"
 #include "mrpf/common/error.hpp"
 
 namespace mrpf::core {
 
+std::vector<i64> shared_union_bank(
+    const std::vector<std::vector<i64>>& branch_banks) {
+  std::vector<i64> u;
+  for (const std::vector<i64>& bank : branch_banks) {
+    for (const i64 c : bank) {
+      if (c != 0) u.push_back(c);
+    }
+  }
+  std::sort(u.begin(), u.end());
+  u.erase(std::unique(u.begin(), u.end()), u.end());
+  return u;
+}
+
 SharedBankGroup::SharedBankGroup(std::vector<std::vector<i64>> branch_banks)
     : branch_banks_(std::move(branch_banks)),
-      union_bank_(cache::shared_union_bank(branch_banks_)) {
+      union_bank_(shared_union_bank(branch_banks_)) {
   MRPF_CHECK(!branch_banks_.empty(), "SharedBankGroup: no branches");
 }
 

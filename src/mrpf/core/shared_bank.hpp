@@ -8,11 +8,11 @@
 // exactly the coefficient-sharing idea of Arslan et al. (parallel filter
 // banks, arxiv 1907.05351) seen through the MRPF lens: instead of M
 // independent solves over near-identical banks, canonicalize the union
-// once (cache/fingerprint.hpp shared_union_bank — distinct non-zero
-// values, sorted, so the solve key is invariant under branch order and
-// partition), run it through the ordinary SchemeDriver → plan-pass →
-// lowering pipeline ONCE, and hand each branch a tap-indexed view into
-// the shared arch::MultiplierBlock. Cache, serde and the synthesis daemon
+// once (shared_union_bank below — distinct non-zero values, sorted, so
+// the solve key is invariant under branch order and partition), run it
+// through the ordinary SchemeDriver → plan-pass → lowering pipeline ONCE,
+// and hand each branch a tap-indexed view into the shared
+// arch::MultiplierBlock. Cache, serde and the synthesis daemon
 // see a perfectly ordinary bank solve and need no changes.
 #pragma once
 
@@ -22,6 +22,18 @@
 #include "mrpf/core/flow.hpp"
 
 namespace mrpf::core {
+
+/// Deterministic union bank of a shared-bank (multi-branch) solve: the
+/// distinct non-zero coefficient values across every branch, sorted
+/// ascending. This is the bank SharedBankGroup feeds through the ordinary
+/// solve pipeline, so the shared-bank solve key is just the key of this
+/// vector — invariant under branch order and under how the union is
+/// partitioned into branches (two different polyphase factorizations of
+/// the same tap multiset share one cache entry), and cache / serde / the
+/// daemon need no shared-bank awareness at all. May be empty (every
+/// branch all-zero); the group layer handles that without a solve.
+std::vector<i64> shared_union_bank(
+    const std::vector<std::vector<i64>>& branch_banks);
 
 /// Outcome of one shared-bank solve: the union block plus per-branch tap
 /// views (move-only, like the SchemeResult it wraps).

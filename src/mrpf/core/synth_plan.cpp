@@ -1,33 +1,9 @@
 #include "mrpf/core/synth_plan.hpp"
 
-#include <utility>
-
 #include "mrpf/common/error.hpp"
 #include "mrpf/core/build.hpp"
 
 namespace mrpf::core {
-
-namespace {
-
-/// The scheme an MrpOptions-level solve belongs to — mrp_optimize's
-/// internal memoization (including recursive SEED solves) distinguishes
-/// plain MRP from MRP+CSE only through cse_on_seed.
-Scheme mrp_scheme_of(const MrpOptions& options) {
-  return options.cse_on_seed ? Scheme::kMrpCse : Scheme::kMrp;
-}
-
-/// MrpResult-level cache traffic is pre-pass by definition: mrp_optimize's
-/// internal memoization (greedy kBnb sub-solves, recursive SEED solves)
-/// stores driver output the plan passes never saw. Pinning the pass config
-/// off here keeps those entries in the pass-off namespace, so a pass-on
-/// flow solve reuses the same internal entries a pass-off solve would.
-MrpOptions without_passes(const MrpOptions& options) {
-  MrpOptions o = options;
-  o.passes = PassConfig{};
-  return o;
-}
-
-}  // namespace
 
 SynthPlan SynthPlan::clone() const {
   SynthPlan out;
@@ -100,23 +76,12 @@ SynthPlan plan_from_block(Scheme scheme, int analytic_adders,
 
 SynthPlan make_mrp_plan(const std::vector<i64>& bank, const MrpResult& result,
                         const MrpOptions& options) {
-  SynthPlan plan = plan_from_block(mrp_scheme_of(options),
-                                   result.total_adders(),
+  const Scheme scheme = options.cse_on_seed ? Scheme::kMrpCse : Scheme::kMrp;
+  SynthPlan plan = plan_from_block(scheme, result.total_adders(),
                                    build_mrp_block(bank, result, options));
   plan.mrp = result.clone();
   plan.timers = result.timers;
   return plan;
-}
-
-MrpResult SolveCacheHook::get_or_compute_mrp(
-    const std::vector<i64>& bank, const MrpOptions& options,
-    const std::function<MrpResult()>& compute) {
-  const MrpOptions o = without_passes(options);
-  SynthPlan plan = get_or_compute(
-      bank, mrp_scheme_of(o), o,
-      [&] { return make_mrp_plan(bank, compute(), o); }, nullptr);
-  MRPF_CHECK(plan.mrp.has_value(), "solve cache: MRP plan without provenance");
-  return std::move(*plan.mrp);
 }
 
 }  // namespace mrpf::core

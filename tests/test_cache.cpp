@@ -100,6 +100,31 @@ void write_bytes(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
+/// The MRP solve of `bank` through the flow's one cache probe: kMrpCse
+/// when opts.cse_on_seed, else kMrp (mrp_optimize itself never touches
+/// opts.cache).
+MrpResult flow_mrp(const std::vector<i64>& bank, const MrpOptions& opts) {
+  const core::Scheme scheme =
+      opts.cse_on_seed ? core::Scheme::kMrpCse : core::Scheme::kMrp;
+  core::SchemeResult r = core::optimize_bank(bank, scheme, opts);
+  if (!r.plan.mrp.has_value()) {
+    ADD_FAILURE() << "MRP plan without provenance";
+    return {};
+  }
+  return std::move(*r.plan.mrp);
+}
+
+/// The MRP provenance of every result of a batch.
+std::vector<MrpResult> mrp_of(std::vector<core::SchemeResult> results) {
+  std::vector<MrpResult> out;
+  for (core::SchemeResult& r : results) {
+    EXPECT_TRUE(r.plan.mrp.has_value());
+    out.push_back(r.plan.mrp.has_value() ? std::move(*r.plan.mrp)
+                                         : MrpResult{});
+  }
+  return out;
+}
+
 TEST(Fingerprint, CanonicalizationInvariantUnderEquivalence) {
   Rng rng(0xCAFE);
   for (int trial = 0; trial < 50; ++trial) {
@@ -160,7 +185,6 @@ TEST(Fingerprint, OptionsChangeTheSolveKey) {
   // Execution-strategy knobs are excluded: they do not change the result.
   opts = base;
   opts.use_reference_engine = true;
-  opts.cache_path = "ignored";
   EXPECT_EQ(cache::solve_key(cb, opts), key);
 }
 
@@ -177,8 +201,8 @@ TEST(SolveCacheTest, HitRehydratesFieldForField) {
       const std::vector<i64> bank =
           trial == 0 ? kPaperExample : random_bank(rng, 30);
       const std::vector<i64> equiv = equivalent_variant(bank, rng);
-      const MrpResult warmup = core::mrp_optimize(bank, opts);  // miss+put
-      const MrpResult cached = core::mrp_optimize(equiv, opts);  // hit
+      const MrpResult warmup = flow_mrp(bank, opts);  // miss+put
+      const MrpResult cached = flow_mrp(equiv, opts);  // hit
 
       MrpOptions fresh_opts = opts;
       fresh_opts.cache = nullptr;
@@ -186,12 +210,12 @@ TEST(SolveCacheTest, HitRehydratesFieldForField) {
       expect_same_mrp_result(cached, fresh);
     }
     const CacheStats s = cache.stats();
-    // Exactly one hit per equivalent re-solve. Misses can exceed the
-    // trial count: recursive SEED levels consult the cache too, and each
-    // inner level is its own fingerprint.
+    // Exactly one hit per equivalent re-solve and one miss per fresh bank:
+    // recursive SEED levels travel inside the outer plan, never as cache
+    // entries of their own.
     EXPECT_EQ(s.hits, 8u);
-    EXPECT_GE(s.misses, 8u);
-    EXPECT_EQ(s.inserts, s.misses);
+    EXPECT_EQ(s.misses, 8u);
+    EXPECT_EQ(s.inserts, 8u);
   }
 }
 
@@ -199,10 +223,10 @@ TEST(SolveCacheTest, DifferentOptionsTagIsAMiss) {
   SolveCache cache;
   MrpOptions opts;
   opts.cache = &cache;
-  (void)core::mrp_optimize(kPaperExample, opts);
+  (void)flow_mrp(kPaperExample, opts);
   MrpOptions other = opts;
   other.l_max = opts.l_max + 1;
-  (void)core::mrp_optimize(kPaperExample, other);
+  (void)flow_mrp(kPaperExample, other);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 2u);
@@ -213,8 +237,8 @@ TEST(SolveCacheTest, EmptyAndAllZeroBanksBypassTheCache) {
   SolveCache cache;
   MrpOptions opts;
   opts.cache = &cache;
-  (void)core::mrp_optimize({}, opts);
-  (void)core::mrp_optimize({0, 0, 0}, opts);
+  (void)flow_mrp({}, opts);
+  (void)flow_mrp({0, 0, 0}, opts);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 0u);
@@ -231,9 +255,9 @@ TEST(SolveCacheTest, LruEvictsOldestUnderTinyBudget) {
   SolveCache cache(config);
   MrpOptions opts;
   opts.cache = &cache;
-  (void)core::mrp_optimize({7, 66, 17}, opts);
-  (void)core::mrp_optimize({9, 27, 41}, opts);
-  (void)core::mrp_optimize({57, 11}, opts);
+  (void)flow_mrp({7, 66, 17}, opts);
+  (void)flow_mrp({9, 27, 41}, opts);
+  (void)flow_mrp({57, 11}, opts);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.inserts, 3u);
   EXPECT_EQ(s.evictions, 2u);  // each insert displaces the previous entry
@@ -280,9 +304,7 @@ TEST(SolveCacheTest, BnbPlansRoundTripBothWinAndFallbackShapes) {
   expect_same_plan(warm_wide.plan, cold_wide.plan);
 
   // A different budget is a different fingerprint: the plan is solved
-  // fresh, never served from the smaller-budget entry. (Total hit counts
-  // can still move — the driver's internal greedy upper-bound solve
-  // shares the cache under the plain-MRP slot, by design.)
+  // fresh, never served from the smaller-budget entry.
   MrpOptions bigger = opts;
   bigger.opt_budget = 400'000;
   core::SolveInfo info;
@@ -310,7 +332,8 @@ TEST(SolveCacheTest, BatchDedupsEquivalentBanksToOneLiveSolve) {
   SolveCache cache;
   MrpOptions opts;
   opts.cache = &cache;
-  const std::vector<MrpResult> got = core::mrp_optimize_batch(banks, opts);
+  const std::vector<MrpResult> got =
+      mrp_of(core::optimize_bank_batch(banks, core::Scheme::kMrp, opts));
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     expect_same_mrp_result(got[i], expected[i]);
@@ -338,7 +361,8 @@ TEST(SolveCacheTest, CachedBatchIsDeterministicAcrossThreadCounts) {
     SolveCache cache;
     MrpOptions opts;
     opts.cache = &cache;
-    const std::vector<MrpResult> got = core::mrp_optimize_batch(banks, opts);
+    const std::vector<MrpResult> got =
+        mrp_of(core::optimize_bank_batch(banks, core::Scheme::kMrp, opts));
     ::unsetenv("MRPF_THREADS");
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -600,18 +624,6 @@ TEST(SolveCacheTest, ShardedBatchesJoinWithoutDeadlockAndCountLikeSerial) {
     SCOPED_TRACE(std::string("MRPF_THREADS=") + threads);
     ::setenv("MRPF_THREADS", threads, 1);
     std::vector<std::vector<u64>> got;
-    {
-      SolveCache cache;
-      MrpOptions opts;
-      opts.cache = &cache;
-      const std::vector<MrpResult> results =
-          core::mrp_optimize_batch(banks, opts);
-      ASSERT_EQ(results.size(), banks.size());
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        expect_same_mrp_result(results[i], expected_mrp[i]);
-      }
-      got.push_back(counts(cache.stats()));
-    }
     for (std::size_t k = 0; k < std::size(schemes); ++k) {
       SolveCache cache;
       MrpOptions opts;
@@ -621,17 +633,20 @@ TEST(SolveCacheTest, ShardedBatchesJoinWithoutDeadlockAndCountLikeSerial) {
       ASSERT_EQ(results.size(), banks.size());
       for (std::size_t i = 0; i < results.size(); ++i) {
         expect_same_plan(results[i].plan, expected_plans[k][i]);
+        ASSERT_TRUE(results[i].plan.mrp.has_value());
+        if (schemes[k] == core::Scheme::kMrp) {
+          expect_same_mrp_result(*results[i].plan.mrp, expected_mrp[i]);
+        }
       }
       got.push_back(counts(cache.stats()));
     }
     ::unsetenv("MRPF_THREADS");
     if (serial.empty()) {
       serial = got;
-      // One live solve per class: the memo misses once per class; the
-      // flow's solve and the memo nested in it share one key, so each
-      // class costs the flow two misses and one insert.
+      // One live solve per class: one miss and one insert per class, and
+      // the other three members of each class hit.
       EXPECT_EQ(serial[0], (std::vector<u64>{9, 3, 3}));
-      EXPECT_EQ(serial[1], (std::vector<u64>{9, 6, 3}));
+      EXPECT_EQ(serial[1], (std::vector<u64>{9, 3, 3}));
     }
     EXPECT_EQ(got, serial);
   }
@@ -782,8 +797,8 @@ TEST(Persist, SaveLoadRoundTripServesHits) {
   {
     SolveCache cache;
     opts.cache = &cache;
-    (void)core::mrp_optimize(kPaperExample, opts);
-    (void)core::mrp_optimize({3, 5, 19, 21}, opts);
+    (void)flow_mrp(kPaperExample, opts);
+    (void)flow_mrp({3, 5, 19, 21}, opts);
     ASSERT_TRUE(save_solve_cache(cache, path));
   }
   SolveCache warm;
@@ -791,7 +806,7 @@ TEST(Persist, SaveLoadRoundTripServesHits) {
   EXPECT_EQ(warm.stats().entries, 2u);
 
   opts.cache = &warm;
-  const MrpResult cached = core::mrp_optimize(kPaperExample, opts);
+  const MrpResult cached = flow_mrp(kPaperExample, opts);
   EXPECT_EQ(warm.stats().hits, 1u);
   EXPECT_EQ(warm.stats().misses, 0u);
   MrpOptions plain;
@@ -815,9 +830,9 @@ TEST(Persist, BnbWinShapePlanSurvivesSaveLoad) {
   }
   SolveCache warm;
   ASSERT_TRUE(load_solve_cache(warm, path));
-  // Two entries: the exact bnb plan plus the driver's internal greedy
-  // upper-bound solve, which shares the store under the plain-MRP slot.
-  EXPECT_EQ(warm.stats().entries, 2u);
+  // One entry: the exact bnb plan. The driver's internal greedy
+  // upper-bound solve makes no entry of its own.
+  EXPECT_EQ(warm.stats().entries, 1u);
   opts.cache = &warm;
   const core::SchemeResult cached =
       core::optimize_bank({7, 23, 45, 105}, core::Scheme::kBnb, opts);
@@ -836,8 +851,8 @@ TEST(Persist, RejectsCorruptFilesWholesale) {
     SolveCache cache;
     MrpOptions opts;
     opts.cache = &cache;
-    (void)core::mrp_optimize(kPaperExample, opts);
-    (void)core::mrp_optimize({3, 5, 19, 21}, opts);
+    (void)flow_mrp(kPaperExample, opts);
+    (void)flow_mrp({3, 5, 19, 21}, opts);
     ASSERT_TRUE(save_solve_cache(cache, path));
   }
   const std::vector<std::uint8_t> good = read_bytes(path);
@@ -872,8 +887,8 @@ TEST(Persist, RejectsChecksumValidTruncations) {
     SolveCache cache;
     MrpOptions opts;
     opts.cache = &cache;
-    (void)core::mrp_optimize(kPaperExample, opts);
-    (void)core::mrp_optimize({3, 5, 19, 21}, opts);
+    (void)flow_mrp(kPaperExample, opts);
+    (void)flow_mrp({3, 5, 19, 21}, opts);
     ASSERT_TRUE(save_solve_cache(cache, path));
   }
   const std::vector<std::uint8_t> good = read_bytes(path);
@@ -912,7 +927,7 @@ TEST(Persist, RejectsPreXformFileVersion) {
     SolveCache cache;
     MrpOptions opts;
     opts.cache = &cache;
-    (void)core::mrp_optimize(kPaperExample, opts);
+    (void)flow_mrp(kPaperExample, opts);
     ASSERT_TRUE(save_solve_cache(cache, path));
   }
   std::vector<std::uint8_t> bytes = read_bytes(path);
@@ -984,7 +999,7 @@ TEST(Persist, RejectsVersionBumpEvenWithRecomputedChecksum) {
     SolveCache cache;
     MrpOptions opts;
     opts.cache = &cache;
-    (void)core::mrp_optimize(kPaperExample, opts);
+    (void)flow_mrp(kPaperExample, opts);
     ASSERT_TRUE(save_solve_cache(cache, path));
   }
   std::vector<std::uint8_t> bytes = read_bytes(path);
@@ -1034,15 +1049,24 @@ TEST(Session, HonorsMrpfCacheEnv) {
 
 TEST(Flow, CachePathWiresWarmSolves) {
   const std::string path = temp_path("flow");
-  MrpOptions opts;
-  opts.cache_path = path;
+  // One session per run around the store, as mrpf_synth --cache opens it.
+  const auto run = [&path](core::SolveInfo* info) {
+    SolveCacheSession session(path, /*ignore_env=*/true);
+    MrpOptions opts;
+    opts.cache = session.cache();
+    core::SchemeResult r = core::optimize_bank(
+        kPaperExample, core::Scheme::kMrpCse, opts, info);
+    EXPECT_TRUE(session.save());
+    return r;
+  };
 
-  const core::SchemeResult cold =
-      core::optimize_bank(kPaperExample, core::Scheme::kMrpCse, opts);
+  core::SolveInfo info;
+  const core::SchemeResult cold = run(&info);
+  EXPECT_FALSE(info.cache_hit);
   ASSERT_TRUE(std::ifstream(path).good()) << "store not written";
 
-  const core::SchemeResult warm =
-      core::optimize_bank(kPaperExample, core::Scheme::kMrpCse, opts);
+  const core::SchemeResult warm = run(&info);
+  EXPECT_TRUE(info.cache_hit);
   ASSERT_TRUE(warm.plan.mrp.has_value());
   expect_same_plan(warm.plan, cold.plan);
   EXPECT_EQ(warm.multiplier_adders, cold.multiplier_adders);
@@ -1051,15 +1075,20 @@ TEST(Flow, CachePathWiresWarmSolves) {
   std::vector<std::uint8_t> bytes = read_bytes(path);
   bytes[bytes.size() / 2] ^= 0xFF;
   write_bytes(path, bytes);
-  const core::SchemeResult recovered =
-      core::optimize_bank(kPaperExample, core::Scheme::kMrpCse, opts);
+  const core::SchemeResult recovered = run(&info);
+  EXPECT_FALSE(info.cache_hit);
   expect_same_plan(recovered.plan, cold.plan);
 
-  // Batch front-end with MRPF_CACHE disabled: cache_path is a no-op.
+  // Batch front-end with MRPF_CACHE disabled: the session hands out no
+  // cache, and the batch solves fresh.
   ::setenv("MRPF_CACHE", "off", 1);
+  SolveCacheSession disabled(path);
+  ::unsetenv("MRPF_CACHE");
+  MrpOptions opts;
+  opts.cache = disabled.cache();
+  EXPECT_EQ(opts.cache, nullptr);
   const auto batch = core::optimize_bank_batch(
       {kPaperExample, {3, 5, 19, 21}}, core::Scheme::kMrp, opts);
-  ::unsetenv("MRPF_CACHE");
   ASSERT_EQ(batch.size(), 2u);
   MrpOptions plain;
   ASSERT_TRUE(batch[0].plan.mrp.has_value());
@@ -1082,16 +1111,16 @@ TEST(Persist, ConcurrentSaversNeverCorruptTheSurvivingStore) {
   {
     MrpOptions opts;
     opts.cache = &a;
-    (void)core::mrp_optimize(kPaperExample, opts);
-    (void)core::mrp_optimize({3, 5, 19, 21}, opts);
+    (void)flow_mrp(kPaperExample, opts);
+    (void)flow_mrp({3, 5, 19, 21}, opts);
     // b is much larger than a: its longer write keeps the racy window
     // (truncate-to-rename on a SHARED temp name) open long enough that
     // the unfixed code tears within a few hundred rounds.
     opts.cache = &b;
-    (void)core::mrp_optimize({23, 81, 5}, opts);
+    (void)flow_mrp({23, 81, 5}, opts);
     Rng rng(0xB0B);
     for (int i = 0; i < 40; ++i) {
-      (void)core::mrp_optimize(random_bank(rng, 30, 8, 14), opts);
+      (void)flow_mrp(random_bank(rng, 30, 8, 14), opts);
     }
   }
   const u64 entries_a = a.stats().entries;

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 
-#include "mrpf/cache/fingerprint.hpp"
 #include "mrpf/cache/solve_cache.hpp"
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/rng.hpp"
@@ -17,9 +16,9 @@ namespace {
 
 TEST(SharedUnionBank, CanonicalizesDistinctNonZeroSorted) {
   const std::vector<i64> u =
-      cache::shared_union_bank({{5, 0, -3}, {7, 5}, {0}, {}, {-3, 7, 7}});
+      core::shared_union_bank({{5, 0, -3}, {7, 5}, {0}, {}, {-3, 7, 7}});
   EXPECT_EQ(u, (std::vector<i64>{-3, 5, 7}));
-  EXPECT_TRUE(cache::shared_union_bank({{0, 0}, {}}).empty());
+  EXPECT_TRUE(core::shared_union_bank({{0, 0}, {}}).empty());
 }
 
 TEST(SharedUnionBank, InvariantUnderPartitionAndOrder) {
@@ -33,8 +32,8 @@ TEST(SharedUnionBank, InvariantUnderPartitionAndOrder) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     dealt[(values.size() - i) % 4].push_back(values[i]);
   }
-  EXPECT_EQ(cache::shared_union_bank({values}),
-            cache::shared_union_bank(dealt));
+  EXPECT_EQ(core::shared_union_bank({values}),
+            core::shared_union_bank(dealt));
 }
 
 TEST(SharedBankGroup, RejectsEmptyGroup) {

@@ -199,7 +199,7 @@ TEST(SolveSpecSchema, SpecAndStoreDecodersRejectEveryOutOfRangeField) {
     cache::SolveCache cache;
     MrpOptions opts;
     opts.cache = &cache;
-    (void)mrp_optimize(kPaperExample, opts);
+    (void)optimize_bank(kPaperExample, Scheme::kMrp, opts);
     ASSERT_TRUE(cache::save_solve_cache(cache, path));
   }
   std::vector<std::uint8_t> store;

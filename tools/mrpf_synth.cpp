@@ -101,6 +101,7 @@ int main(int argc, char** argv) {
   bool exec_bench = false;
   int decimate_factor = 0;
   bool shared_bank = false;
+  std::string cache_path;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -159,7 +160,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--coeffs-file") {
         explicit_coeffs = io::read_integer_coefficients(value());
       } else if (arg == "--cache") {
-        mrp_opts.cache_path = value();
+        cache_path = value();
       } else if (arg == "--json") {
         json_path = value();
       } else if (arg == "--verilog") {
@@ -180,14 +181,13 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // One cache session for the whole run: every solve (both polyphase
-    // modes, recursive SEED levels) shares it, and the store is read and
-    // written once.
+    // One cache session for the whole run: every bank solve (each
+    // polyphase branch, or the one shared bank) shares it, and the store is
+    // read and written once.
     std::optional<cache::SolveCacheSession> session;
-    if (!mrp_opts.cache_path.empty()) {
-      session.emplace(mrp_opts.cache_path);
+    if (!cache_path.empty()) {
+      session.emplace(cache_path);
       mrp_opts.cache = session->cache();
-      mrp_opts.cache_path.clear();
     }
     const auto finish_cache = [&session] {
       if (!session.has_value() || session->cache() == nullptr) return;
@@ -223,23 +223,18 @@ int main(int argc, char** argv) {
     }
 
     if (decimate_factor > 0) {
-      // Multirate flow: synthesize the polyphase structure in both bank
-      // modes so the report shows what sharing buys, then verify the
-      // requested one bit-exactly against the reference decimator.
-      const core::PolyphaseDecimator per_branch(
+      // Multirate flow: synthesize the polyphase structure in the requested
+      // bank mode, then verify it bit-exactly against the reference
+      // decimator. bench/filterbank_study compares the two modes.
+      const core::PolyphaseDecimator dec(
           coefficients, decimate_factor, scheme, mrp_opts,
-          core::BankSharing::kPerBranch);
-      const core::PolyphaseDecimator shared(
-          coefficients, decimate_factor, scheme, mrp_opts,
-          core::BankSharing::kShared);
-      std::printf(
-          "polyphase M=%d: per-branch %d adders, shared bank %d adders "
-          "(synthesizing %s)\n",
-          decimate_factor, per_branch.analytic_adders(),
-          shared.analytic_adders(),
-          shared_bank ? "shared" : "per-branch");
+          shared_bank ? core::BankSharing::kShared
+                      : core::BankSharing::kPerBranch);
+      const char* mode = shared_bank ? "shared" : "per-branch";
+      std::printf("polyphase M=%d: %s%s %d adders (synthesizing %s)\n",
+                  decimate_factor, mode, shared_bank ? " bank" : "",
+                  dec.analytic_adders(), mode);
       finish_cache();
-      const core::PolyphaseDecimator& dec = shared_bank ? shared : per_branch;
       Rng rng(0xDEC1);
       std::vector<i64> x;
       const i64 range = (i64{1} << (input_bits - 1)) - 1;
