@@ -11,8 +11,10 @@
 // that serial, parallel, pooled and reference solves are bit-identical.
 //
 // `--ci` runs a reduced-catalog smoke: fewer filters and reps, output to
-// BENCH_mrp_ci.json, and a hard gate on bit-identity plus (on hosts with
-// >= 2 hardware threads) on parallel-vs-serial speedup >= 1.0.
+// BENCH_mrp_ci.json, and hard gates on bit-identity, the warm-cache hit
+// rate and the persisted-store round trip. The parallel-vs-serial ratio is
+// printed but never gated: it is wall-clock time, which moves with
+// whatever else shares the host.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -471,23 +473,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "CI gate: persisted cache store failed to round-trip\n");
       ok = false;
-    }
-  }
-  if (ci_mode) {
-    // Bit-identity is gated unconditionally (checked above). The speedup
-    // gate needs real cores: on a single-hardware-thread host extra
-    // threads only time-slice, so a < 1.0 ratio is scheduler noise, not a
-    // parallelism regression.
-    if (hw >= 2 && thread_speedup < 1.0) {
-      std::fprintf(stderr,
-                   "CI gate: parallel batch slower than serial (%.3fx) on a "
-                   "%u-thread host\n",
-                   thread_speedup, hw);
-      ok = false;
-    } else if (hw < 2) {
-      std::printf("CI gate: single hardware thread — speedup gate skipped "
-                  "(measured %.3fx)\n",
-                  thread_speedup);
     }
   }
   return ok ? 0 : 1;

@@ -4,16 +4,17 @@
 //
 //   naive     dsp::fir_filter_exact — the golden direct-form model
 //   interp    arch::TdfFilter::run — the per-sample adder-graph interpreter
-//   compiled  exec::ExecEngine over exec::compile(filter) — the lane-
-//             blocked register-slot program
+//   compiled  exec::ExecEngine over exec::compile(filter) — the folded
+//             direct-form multiply-accumulate kernel
 //
 // and reports samples/sec for each, the compiled-vs-interpreted speedup,
 // and the per-stage StageTimers breakdown (exec.compile / exec.run next to
-// the synthesis stages) in BENCH_throughput.json. Bit-identity — compiled
-// vs. interpreted vs. naive, including a chunked StreamingFilter replay
-// and a parallel run_batch — is checked unconditionally and is the only
-// hard gate: speedups are reported for the perf trajectory but never
-// gated, since CI hosts are noisy.
+// the synthesis stages) in BENCH_throughput.json. Two gates hold in every
+// mode, both deterministic: bit-identity — compiled vs. interpreted vs.
+// naive, including a chunked StreamingFilter replay and a parallel
+// run_batch — and the multiply count, macs_per_sample == ceil(taps/2) on
+// every symmetric filter. Speedups are reported for the perf trajectory
+// but never gated, since CI hosts are noisy.
 //
 // `--ci` runs a reduced catalog with shorter streams, sweeps all six
 // schemes on the first filter, and writes BENCH_throughput_ci.json.
@@ -29,6 +30,7 @@
 #include "mrpf/dsp/convolve.hpp"
 #include "mrpf/exec/compile.hpp"
 #include "mrpf/exec/streaming.hpp"
+#include "mrpf/filter/symmetric.hpp"
 #include "mrpf/sim/workload.hpp"
 
 namespace {
@@ -81,10 +83,8 @@ struct FilterRow {
   int filter = 0;
   std::string scheme;
   std::size_t taps = 0;
-  int source_ops = 0;
-  int fused_ops = 0;
-  int slots = 0;
-  int lanes = 0;
+  std::size_t macs_per_sample = 0;
+  bool symmetric = false;  // effective coefficients are palindromic
   int max_input_bits = 0;
   double naive_ns = 0;
   double interp_ns = 0;
@@ -125,6 +125,7 @@ int main(int argc, char** argv) {
   std::vector<FilterRow> rows;
   core::StageTimers agg;
   bool all_identical = true;
+  bool all_folded = true;  // every symmetric filter pays ceil(taps/2) MACs
 
   for (const auto& [idx, scheme] : work) {
     const number::QuantizedCoefficients q = number::quantize_maximal(
@@ -135,10 +136,16 @@ int main(int argc, char** argv) {
     FilterRow row;
     row.filter = idx;
     row.scheme = core::to_string(scheme);
-    row.taps = program.n_taps;
-    row.source_ops = program.source_ops;
-    row.fused_ops = static_cast<int>(program.ops.size());
-    row.slots = program.n_slots;
+    row.taps = program.taps();
+    row.macs_per_sample = program.macs_per_sample();
+    // Symmetry of c[k] << align[k], computed here rather than read back
+    // from the program, so the multiply-count gate checks the compiler.
+    std::vector<i64> effective = filter.coefficients();
+    for (std::size_t k = 0; k < filter.alignment().size(); ++k) {
+      effective[k] = static_cast<i64>(static_cast<u64>(effective[k])
+                                      << filter.alignment()[k]);
+    }
+    row.symmetric = filter::is_symmetric(effective);
     row.max_input_bits = program.max_input_bits;
     row.samples = n_samples;
 
@@ -155,7 +162,6 @@ int main(int argc, char** argv) {
     const std::vector<i64> interp = filter.run(x);
 
     exec::ExecEngine engine(program);
-    row.lanes = engine.lanes();
     std::vector<i64> compiled(x.size());
     engine.run(x.data(), compiled.data(), x.size());
 
@@ -195,6 +201,13 @@ int main(int argc, char** argv) {
           row.identical && identical_streams(compiled, ch, "run_batch");
     }
     all_identical = all_identical && row.identical;
+    if (row.symmetric && row.macs_per_sample != (row.taps + 1) / 2) {
+      std::fprintf(stderr,
+                   "GATE: filter %d %s is symmetric but costs %zu MACs per "
+                   "sample, not ceil(%zu/2)\n",
+                   idx, row.scheme.c_str(), row.macs_per_sample, row.taps);
+      all_folded = false;
+    }
 
     // --- Timings (best of g_reps). ---
     row.naive_ns = time_ns([&] {
@@ -215,12 +228,11 @@ int main(int argc, char** argv) {
     core::accumulate(agg, engine.timers());
 
     std::printf(
-        "filter %2d %-8s: %3zu taps, %3d->%3d ops, %2d slots, %2d lanes, "
-        "B<=%2d | naive %8.0f interp %8.0f compiled %8.0f ns | %5.2fx vs "
-        "interp | %s\n",
-        idx, row.scheme.c_str(), row.taps, row.source_ops, row.fused_ops,
-        row.slots, row.lanes, row.max_input_bits, row.naive_ns, row.interp_ns,
-        row.compiled_ns, row.interp_ns / row.compiled_ns,
+        "filter %2d %-8s: %3zu taps, %3zu MACs/sample, B<=%2d | naive %8.0f "
+        "interp %8.0f compiled %8.0f ns | %5.2fx vs naive | %s\n",
+        idx, row.scheme.c_str(), row.taps, row.macs_per_sample,
+        row.max_input_bits, row.naive_ns, row.interp_ns, row.compiled_ns,
+        row.naive_ns / row.compiled_ns,
         row.identical ? "identical" : "MISMATCH");
     rows.push_back(std::move(row));
   }
@@ -242,8 +254,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "compiled: %.1f Msamples/sec aggregate | geomean %.2fx vs interp, "
-      "%.2fx vs naive | target >=3x vs interp (reported, gated on identity "
-      "only)\n",
+      "%.2fx vs naive | target >=2x vs naive (reported, not gated)\n",
       msamples_per_sec, geo_interp, geo_naive);
 
   const char* json_name =
@@ -266,15 +277,14 @@ int main(int argc, char** argv) {
     std::fprintf(
         out,
         "    {\"filter\": %d, \"scheme\": \"%s\", \"taps\": %zu, "
-        "\"source_ops\": %d, \"fused_ops\": %d, \"slots\": %d, "
-        "\"lanes\": %d, \"max_input_bits\": %d,\n"
+        "\"macs_per_sample\": %zu, \"max_input_bits\": %d,\n"
         "     \"naive_ns\": %.0f, \"interp_ns\": %.0f, \"compiled_ns\": "
         "%.0f,\n"
         "     \"compiled_msamples_per_sec\": %.2f, "
         "\"speedup_vs_interp\": %.3f, \"speedup_vs_naive\": %.3f, "
         "\"bit_identical\": %s}%s\n",
-        r.filter, r.scheme.c_str(), r.taps, r.source_ops, r.fused_ops,
-        r.slots, r.lanes, r.max_input_bits, r.naive_ns, r.interp_ns,
+        r.filter, r.scheme.c_str(), r.taps, r.macs_per_sample,
+        r.max_input_bits, r.naive_ns, r.interp_ns,
         r.compiled_ns,
         1e3 * static_cast<double>(r.samples) / r.compiled_ns,
         r.interp_ns / r.compiled_ns, r.naive_ns / r.compiled_ns,
@@ -287,10 +297,11 @@ int main(int argc, char** argv) {
                "  \"aggregate\": {\"compiled_msamples_per_sec\": %.2f, "
                "\"geomean_speedup_vs_interp\": %.3f, "
                "\"geomean_speedup_vs_naive\": %.3f, "
-               "\"bit_identical\": %s}\n"
+               "\"bit_identical\": %s, \"symmetric_filters_folded\": %s}\n"
                "}\n",
                msamples_per_sec, geo_interp, geo_naive,
-               all_identical ? "true" : "false");
+               all_identical ? "true" : "false",
+               all_folded ? "true" : "false");
   std::fclose(out);
   std::printf("wrote %s\n", json_name);
 
@@ -300,5 +311,5 @@ int main(int argc, char** argv) {
                  "interpreted model\n");
     return 1;
   }
-  return 0;
+  return all_folded ? 0 : 1;
 }

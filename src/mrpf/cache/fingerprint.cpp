@@ -39,12 +39,6 @@ u64 canonical_content_hash(const std::vector<i64>& canonical_values) {
   return fnv1a64_word(static_cast<u64>(canonical_values.size()), h);
 }
 
-u64 solve_key(const CanonicalBank& canonical, const core::SolveSpec& spec) {
-  const core::Scheme scheme =
-      spec.cse_on_seed ? core::Scheme::kMrpCse : core::Scheme::kMrp;
-  return solve_key(canonical.content_hash, SolveOptionsTag{scheme, spec});
-}
-
 u64 solve_key(u64 content_hash, const SolveOptionsTag& tag) {
   return core::hash_spec(
       tag.spec, fnv1a64_word(static_cast<u64>(tag.scheme), content_hash));

@@ -87,8 +87,5 @@ u64 canonical_content_hash(const std::vector<i64>& canonical_values);
 /// equal keys are intended to share one cache entry; SolveCache still
 /// verifies the canonical words and tag before trusting a hit.
 u64 solve_key(u64 content_hash, const SolveOptionsTag& tag);
-/// Key of an MRP-scheme solve: the scheme (kMrp or kMrpCse) follows
-/// cse_on_seed and the spec is taken verbatim.
-u64 solve_key(const CanonicalBank& canonical, const core::SolveSpec& spec);
 
 }  // namespace mrpf::cache

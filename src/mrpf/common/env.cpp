@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -86,33 +85,13 @@ ParsedDouble parse_double_in_range(const char* value, double lo, double hi) {
 
 ParsedExecMode parse_exec_mode(const char* value) {
   ParsedExecMode out;
-  if (value == nullptr || value[0] == '\0') return out;
-  if (equals_ignore_case(value, "off")) {
-    out.well_formed = true;
-    out.mode = 0;
-    return out;
+  const char* const words[] = {"off", "interp", "vector"};  // mode numbers
+  for (int mode = 0; mode < 3; ++mode) {
+    if (equals_ignore_case(value, words[mode])) {
+      out.well_formed = true;
+      out.mode = mode;
+    }
   }
-  if (equals_ignore_case(value, "interp")) {
-    out.well_formed = true;
-    out.mode = 1;
-    return out;
-  }
-  if (equals_ignore_case(value, "vector")) {
-    out.well_formed = true;
-    out.mode = 2;
-    return out;
-  }
-  // "vector:N" — split at the first colon, then reuse the strict integer
-  // grammar for the lane count (clamped to 64 lanes).
-  const char* colon = std::strchr(value, ':');
-  if (colon == nullptr) return out;
-  const std::string word(value, static_cast<std::size_t>(colon - value));
-  if (!equals_ignore_case(word.c_str(), "vector")) return out;
-  const ParsedInt lanes = parse_positive_int(colon + 1, 64);
-  if (!lanes.well_formed) return out;
-  out.well_formed = true;
-  out.mode = 2;
-  out.lanes = static_cast<int>(lanes.value);
   return out;
 }
 
@@ -206,18 +185,6 @@ KnobSnapshot snapshot_knobs() {
   }
   s.opt_budget = budget_knob("MRPF_OPT_BUDGET");
   s.xform_budget = budget_knob("MRPF_XFORM_BUDGET");
-  if (const char* v = std::getenv("MRPF_EXEC")) {
-    const ParsedExecMode m = parse_exec_mode(v);
-    if (m.well_formed) {
-      s.exec_mode = m.mode;
-      s.exec_lanes = m.lanes;
-    } else {
-      warn_once("MRPF_EXEC",
-                "mrpf: ignoring malformed MRPF_EXEC value \"" +
-                    std::string(v) +
-                    "\" (expected off|interp|vector|vector:<lanes>)");
-    }
-  }
   return s;
 }
 

@@ -51,15 +51,12 @@ bool equals_ignore_case(const char* value, const char* lower);
 struct ParsedExecMode {
   bool well_formed = false;  ///< Value matched the grammar below.
   int mode = 2;              ///< 0 = off, 1 = interp, 2 = vector.
-  int lanes = 0;             ///< 0 = engine default; "vector:N" sets N.
 };
 
-/// Strict grammar for MRPF_EXEC: exactly "off", "interp", "vector", or
-/// "vector:N" (words case-insensitive). N follows the parse_positive_int
-/// grammar — one or more decimal digits, value >= 1 — and clamps to 64
-/// lanes. Anything else ("fast", "vector:", "vector:0", "vector:8x",
-/// trailing whitespace) is not well-formed; callers warn_once and fall
-/// back to the default so a typo can never silently change the engine.
+/// Strict grammar for MRPF_EXEC: exactly "off", "interp" or "vector"
+/// (case-insensitive). Anything else ("fast", "vector:8", trailing
+/// whitespace) is not well-formed; callers warn_once and fall back to the
+/// default so a typo can never silently change the engine.
 ParsedExecMode parse_exec_mode(const char* value);
 
 /// Result of parsing the MRPF_CACHE knob with the shared grammar:
@@ -87,9 +84,6 @@ struct KnobSnapshot {
   /// MRPF_CACHE: disabled / capacity override (0 = keep default).
   bool cache_disabled = false;
   std::size_t cache_max_bytes = 0;
-  /// MRPF_EXEC: same numbering as ParsedExecMode (2 = vector default).
-  int exec_mode = 2;
-  int exec_lanes = 0;
   /// MRPF_OPT_BUDGET / MRPF_XFORM_BUDGET (budget_knob); 0 = unset or
   /// malformed, resolved to the core defaults at the use site.
   long long opt_budget = 0;
@@ -101,12 +95,11 @@ struct KnobSnapshot {
 /// malformed (a malformed value warns once under the knob's name).
 long long budget_knob(const char* name);
 
-/// Reads MRPF_THREADS, MRPF_CACHE, MRPF_EXEC, MRPF_OPT_BUDGET and
-/// MRPF_XFORM_BUDGET once each, applying the
-/// shared strict grammars. Malformed values warn_once (same keys as the
-/// lazy per-call readers, so a process never warns twice for one knob)
-/// and leave the corresponding field at its default. Thread-safe:
-/// concurrent first calls are race-free.
+/// Reads MRPF_THREADS, MRPF_CACHE, MRPF_OPT_BUDGET and MRPF_XFORM_BUDGET
+/// once each, applying the shared strict grammars. Malformed values
+/// warn_once (same keys as the lazy per-call readers, so a process never
+/// warns twice for one knob) and leave the corresponding field at its
+/// default. Thread-safe: concurrent first calls are race-free.
 KnobSnapshot snapshot_knobs();
 
 /// Emits `message` on stderr at most once per process per `key`.

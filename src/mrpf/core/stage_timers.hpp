@@ -35,7 +35,7 @@ struct StageTimers {
   StageSample seed_synthesis;  // items: SEED values costed
   StageSample optimize;        // whole driver optimize; items: bank size
   StageSample lowering;        // plan -> verified block; items: plan ops
-  StageSample exec_compile;    // plan -> ExecProgram; items: fused ops kept
+  StageSample exec_compile;    // plan -> ExecProgram; items: MACs per output
   StageSample exec_run;        // compiled execution; items: samples pushed
   StageSample bnb_search;      // kBnb only; items: search steps explored
   /// kBnb provenance: which path produced the plan. items: 0 = the exact

@@ -79,29 +79,4 @@ std::vector<i64> fir_filter_exact(const std::vector<i64>& c,
   return y;
 }
 
-std::vector<i64> fir_filter_exact_reference(const std::vector<i64>& c,
-                                            const std::vector<int>& align,
-                                            const std::vector<i64>& x) {
-  MRPF_CHECK(!c.empty(), "fir_filter_exact: empty coefficient vector");
-  MRPF_CHECK(align.empty() || align.size() == c.size(),
-             "fir_filter_exact: alignment size mismatch");
-  for (const int a : align) {
-    MRPF_CHECK(a >= 0 && a < 63, "fir_filter_exact: bad alignment shift");
-  }
-  std::vector<i64> y(x.size(), 0);
-  for (std::size_t n = 0; n < x.size(); ++n) {
-    i128 acc = 0;
-    const std::size_t kmax = std::min(c.size() - 1, n);
-    for (std::size_t k = 0; k <= kmax; ++k) {
-      const int sh = align.empty() ? 0 : align[k];
-      acc += static_cast<i128>(c[k]) * (static_cast<i128>(x[n - k]) << sh);
-    }
-    MRPF_CHECK(acc <= std::numeric_limits<i64>::max() &&
-                   acc >= std::numeric_limits<i64>::min(),
-               "fir_filter_exact: accumulator overflows int64");
-    y[n] = static_cast<i64>(acc);
-  }
-  return y;
-}
-
 }  // namespace mrpf::dsp

@@ -28,12 +28,4 @@ std::vector<i64> fir_filter_exact(const std::vector<i64>& c,
                                   const std::vector<int>& align,
                                   const std::vector<i64>& x);
 
-/// The pre-hoist reference implementation of fir_filter_exact: per-sample
-/// window clamp and per-tap alignment branch inside the loop. Kept only as
-/// the differential baseline the hoisted path is tested against — never a
-/// production call site.
-std::vector<i64> fir_filter_exact_reference(const std::vector<i64>& c,
-                                            const std::vector<int>& align,
-                                            const std::vector<i64>& x);
-
 }  // namespace mrpf::dsp

@@ -1,9 +1,10 @@
 // The plan compiler: arch::TdfFilter (any scheme, post-lowering, folded
-// taps already expanded) -> ExecProgram. See program.hpp for what the
-// passes do; compile() is deterministic and never fails on a verified
-// filter — a plan whose magnitudes rule out unchecked int64 execution
-// simply reports a small max_input_bits and the caller falls back to the
-// checked interpreter.
+// taps already expanded) -> ExecProgram. See program.hpp for the program
+// shape. compile() is deterministic; it throws mrpf::Error when the
+// filter's adder graph does not realize its coefficients, and a filter
+// whose magnitudes rule out unchecked int64 execution simply reports a
+// small max_input_bits so the caller falls back to the checked
+// interpreter.
 #pragma once
 
 #include "mrpf/arch/tdf.hpp"
@@ -11,9 +12,9 @@
 
 namespace mrpf::exec {
 
-/// Compiles the filter's multiplier block + tap alignment into an
-/// execution program. Records timers.exec_compile (items = fused ops
-/// kept).
+/// Compiles the filter's effective coefficients, fold flag and proven
+/// input width. Records timers.exec_compile (items = multiplies per
+/// output sample).
 ExecProgram compile(const arch::TdfFilter& filter);
 
 }  // namespace mrpf::exec

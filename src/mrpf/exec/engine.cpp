@@ -5,13 +5,12 @@
 #include <cstring>
 
 #include "mrpf/common/error.hpp"
+#include "mrpf/common/format.hpp"
 #include "mrpf/common/parallel.hpp"
 
 namespace mrpf::exec {
 
 namespace {
-
-constexpr int kMaxLanes = 64;
 
 double now_ns() {
   return static_cast<double>(
@@ -20,113 +19,75 @@ double now_ns() {
           .count());
 }
 
+/// Index of the first sample with |x| >= 2^(bits-1), or n when none is:
+/// x + lim lands in [0, 2·lim] (unsigned) exactly when |x| <= lim.
+std::size_t first_wide_sample(const i64* x, std::size_t n, int bits) {
+  const u64 lim = bits > 1 ? (u64{1} << (bits - 1)) - 1 : 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (static_cast<u64>(x[i]) + lim > 2 * lim) return i;
+  }
+  return n;
+}
+
+/// y[i] = Σ_k h[k] · w[i + N-1 - k] for i in [0, m): w holds N-1 history
+/// samples followed by the m new ones. Wrap arithmetic; exact by the
+/// program's width proof.
+void mac_block(const ExecProgram& program, const i64* w, i64* y,
+               std::size_t m) {
+  const i64* h = program.coeffs.data();
+  const std::size_t last = program.coeffs.size() - 1;
+  if (program.folded) {
+    // h[k] == h[N-1-k]: add the mirrored samples, multiply once per pair.
+    const std::size_t half = program.coeffs.size() / 2;
+    const u64 mid = program.coeffs.size() % 2 != 0 ? h[half] : 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const i64* win = w + i;
+      u64 acc = mid * static_cast<u64>(win[half]);
+      for (std::size_t k = 0; k < half; ++k) {
+        acc += static_cast<u64>(h[k]) *
+               (static_cast<u64>(win[last - k]) + static_cast<u64>(win[k]));
+      }
+      y[i] = static_cast<i64>(acc);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const i64* win = w + i;
+    u64 acc = 0;
+    for (std::size_t k = 0; k <= last; ++k) {
+      acc += static_cast<u64>(h[k]) * static_cast<u64>(win[last - k]);
+    }
+    y[i] = static_cast<i64>(acc);
+  }
+}
+
 }  // namespace
 
-int default_lane_width(const ExecProgram& program) {
-  // 16 lanes fill a couple of AVX2/NEON vectors per op; fall back to 8
-  // when the slot file would spill past ~32 KiB of L1.
-  const int slots = std::max(1, program.n_slots);
-  return slots * 16 > 4096 ? 8 : 16;
+ExecEngine::ExecEngine(const ExecProgram& program) : program_(&program) {
+  MRPF_CHECK(!program.coeffs.empty(), "ExecEngine: program has no taps");
+  window_.assign(program.coeffs.size() - 1 + kBlock, 0);
 }
 
-ExecEngine::ExecEngine(const ExecProgram& program, int lanes)
-    : program_(&program) {
-  lanes_ = lanes > 0 ? lanes : default_lane_width(program);
-  lanes_ = std::min(std::max(lanes_, 1), kMaxLanes);
-  carry_ = program.n_taps > 0 ? program.n_taps - 1 : 0;
-  regs_.assign(static_cast<std::size_t>(std::max(1, program.n_slots)) *
-                   static_cast<std::size_t>(lanes_),
-               0);
-  acc_.assign(carry_ + static_cast<std::size_t>(lanes_) + 1, 0);
-}
-
-void ExecEngine::reset() { std::fill(acc_.begin(), acc_.end(), 0); }
-
-void ExecEngine::run_block(const i64* x, i64* y, std::size_t m) {
-  const int W = lanes_;
-  const std::size_t lanes = static_cast<std::size_t>(W);
-
-  // Load the input block; lanes past m carry zero so the full-width op
-  // loops below compute zero contributions for them (0 in, 0 out).
-  i64* in = regs_.data() +
-            static_cast<std::size_t>(program_->input_slot) * lanes;
-  std::memcpy(in, x, m * sizeof(i64));
-  if (m < lanes) std::memset(in + m, 0, (lanes - m) * sizeof(i64));
-
-  // Fused ops, lane-parallel. Wrap (unsigned) arithmetic: the compile-time
-  // width analysis guarantees every true value fits int64, and mod-2^64
-  // arithmetic agrees with exact arithmetic on values that fit.
-  for (const ExecOp& op : program_->ops) {
-    i64* d = regs_.data() + static_cast<std::size_t>(op.dst) * lanes;
-    const i64* a = regs_.data() + static_cast<std::size_t>(op.a) * lanes;
-    const i64* b = regs_.data() + static_cast<std::size_t>(op.b) * lanes;
-    const int sa = op.shift_a;
-    const int sb = op.shift_b;
-    if (op.subtract) {
-      for (int l = 0; l < W; ++l) {
-        d[l] = static_cast<i64>((static_cast<u64>(a[l]) << sa) -
-                                (static_cast<u64>(b[l]) << sb));
-      }
-    } else {
-      for (int l = 0; l < W; ++l) {
-        d[l] = static_cast<i64>((static_cast<u64>(a[l]) << sa) +
-                                (static_cast<u64>(b[l]) << sb));
-      }
-    }
-  }
-
-  // Reset the working region of the output window; acc_[0, carry_) holds
-  // partial sums pending from previous blocks.
-  std::fill(acc_.begin() + static_cast<std::ptrdiff_t>(carry_), acc_.end(),
-            0);
-
-  // Each fused tap adds its W products into the window at its delay
-  // offset: sample l's product for tap k lands on output (base + l + k).
-  for (const ExecTap& tap : program_->taps) {
-    i64* dst = acc_.data() + tap.position;
-    const i64* src = regs_.data() + static_cast<std::size_t>(tap.slot) * lanes;
-    const int sh = tap.shift;
-    if (sh >= 0) {
-      if (tap.negate) {
-        for (int l = 0; l < W; ++l) {
-          dst[l] = static_cast<i64>(static_cast<u64>(dst[l]) -
-                                    (static_cast<u64>(src[l]) << sh));
-        }
-      } else {
-        for (int l = 0; l < W; ++l) {
-          dst[l] = static_cast<i64>(static_cast<u64>(dst[l]) +
-                                    (static_cast<u64>(src[l]) << sh));
-        }
-      }
-    } else {
-      // Negative fused shift only drops always-zero LSBs (graph
-      // invariant), so the arithmetic right shift is exact division.
-      if (tap.negate) {
-        for (int l = 0; l < W; ++l) {
-          dst[l] = static_cast<i64>(static_cast<u64>(dst[l]) -
-                                    static_cast<u64>(src[l] >> -sh));
-        }
-      } else {
-        for (int l = 0; l < W; ++l) {
-          dst[l] = static_cast<i64>(static_cast<u64>(dst[l]) +
-                                    static_cast<u64>(src[l] >> -sh));
-        }
-      }
-    }
-  }
-
-  // Emit the m completed outputs and slide the carry window forward.
-  std::memcpy(y, acc_.data(), m * sizeof(i64));
-  std::memmove(acc_.data(), acc_.data() + m, carry_ * sizeof(i64));
-}
+void ExecEngine::reset() { std::fill(window_.begin(), window_.end(), 0); }
 
 void ExecEngine::run(const i64* x, i64* y, std::size_t n) {
+  const int bits = program_->max_input_bits;
+  const std::size_t bad = first_wide_sample(x, n, bits);
+  if (bad < n) {
+    throw Error(str_format(
+        "exec: input sample %zu (%lld) is outside the proven %d-bit input "
+        "width (|x| < 2^%d)",
+        bad, static_cast<long long>(x[bad]), bits, bits - 1));
+  }
   const double t0 = now_ns();
   timers_.exec_run.items += n;
-  const std::size_t lanes = static_cast<std::size_t>(lanes_);
+  const std::size_t history = window_.size() - kBlock;  // N-1
+  i64* w = window_.data();
   while (n > 0) {
-    const std::size_t m = std::min(n, lanes);
-    run_block(x, y, m);
+    const std::size_t m = std::min(n, kBlock);
+    std::memcpy(w + history, x, m * sizeof(i64));
+    mac_block(*program_, w, y, m);
+    std::memmove(w, w + m, history * sizeof(i64));
     x += m;
     y += m;
     n -= m;
@@ -136,14 +97,22 @@ void ExecEngine::run(const i64* x, i64* y, std::size_t n) {
 
 std::vector<std::vector<i64>> run_batch(
     const ExecProgram& program, const std::vector<std::vector<i64>>& inputs,
-    int lanes, int threads) {
-  std::vector<std::vector<i64>> outputs(inputs.size());
+    int threads) {
+  // Outputs are sized here, not in the workers: a buffer a pool thread
+  // allocates lands in that thread's malloc arena, which keeps the pages
+  // after the caller frees them (about 1.5 MB more peak RSS on stream_run).
+  std::vector<std::vector<i64>> outputs;
+  outputs.reserve(inputs.size());
+  for (const std::vector<i64>& x : inputs) outputs.emplace_back(x.size());
   parallel_for(
       inputs.size(),
       [&](std::size_t i) {
-        ExecEngine engine(program, lanes);
-        outputs[i].resize(inputs[i].size());
-        engine.run(inputs[i].data(), outputs[i].data(), inputs[i].size());
+        ExecEngine engine(program);
+        try {
+          engine.run(inputs[i].data(), outputs[i].data(), inputs[i].size());
+        } catch (const Error& e) {
+          throw Error(str_format("run_batch channel %zu: %s", i, e.what()));
+        }
       },
       threads);
   return outputs;

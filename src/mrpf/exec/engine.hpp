@@ -1,15 +1,15 @@
-// Lane-blocked execution of a compiled ExecProgram.
+// Direct-form multiply-accumulate execution of a compiled ExecProgram.
 //
-// One engine owns the per-stream state: a register-slot file of
-// `n_slots × lanes` int64 values and a sliding output-accumulation window
-// (the block-FIR equivalent of the TDF chain registers). A block step is
-//   load W input samples  ->  run the fused ops lane-parallel  ->  add each
-//   fused tap's W products into the window at its delay offset  ->  emit W
-//   outputs and slide the carry.
-// Every inner loop is a contiguous fixed-trip-count loop over the lanes —
-// exactly the shape compilers autovectorize — and all arithmetic is
-// unsigned 64-bit wrap, which the compiler proved exact for inputs up to
-// program.max_input_bits (see compile.cpp's width analysis). Outputs are
+// One engine owns the per-stream state: a bounded history window holding
+// the last N-1 input samples followed by room for one kernel block of new
+// ones, so memory stays O(N + block) however large a run() call is. A
+// block step is
+//   copy up to kBlock inputs behind the history  ->  one MAC per tap (or
+//   per mirrored tap pair when the program is folded) for each output  ->
+//   slide the last N-1 samples to the front.
+// All arithmetic is unsigned 64-bit wrap, exact because compile() proved
+// every true value fits int64 for inputs of up to program.max_input_bits
+// bits, and run() rejects any sample outside that width. Outputs are
 // bit-identical to arch::TdfFilter::run sample for sample, across any
 // split of the stream into run() calls.
 #pragma once
@@ -21,38 +21,31 @@
 
 namespace mrpf::exec {
 
-/// Lane width used when the caller passes 0: wide enough to fill vector
-/// units, narrowed when the slot file would outgrow L1.
-int default_lane_width(const ExecProgram& program);
-
 class ExecEngine {
  public:
-  /// The program must outlive the engine (the engine keeps a pointer —
-  /// one compiled program serves many engines). lanes <= 0 resolves via
-  /// default_lane_width; lanes are clamped to [1, 64].
-  explicit ExecEngine(const ExecProgram& program, int lanes = 0);
+  /// Samples the kernel processes per block (the window holds N-1 more).
+  static constexpr std::size_t kBlock = 512;
 
-  /// Zeroes the carry window — identical to a freshly constructed engine.
+  /// The program must outlive the engine (the engine keeps a pointer —
+  /// one compiled program serves many engines).
+  explicit ExecEngine(const ExecProgram& program);
+
+  /// Zeroes the history — identical to a freshly constructed engine.
   void reset();
 
   /// Streams n samples: y[i] is the filter output for x[i], continuing
-  /// from the state previous run() calls left behind. Any n (including 0
-  /// and non-multiples of the lane width) is exact.
+  /// from the state previous run() calls left behind. Any n (including 0)
+  /// is exact. Throws mrpf::Error, before touching any state, when a
+  /// sample has |x| >= 2^(program.max_input_bits-1).
   void run(const i64* x, i64* y, std::size_t n);
 
-  int lanes() const { return lanes_; }
   const ExecProgram& program() const { return *program_; }
   /// Accumulated exec_run time (items = samples processed).
   const core::StageTimers& timers() const { return timers_; }
 
  private:
-  void run_block(const i64* x, i64* y, std::size_t m);
-
   const ExecProgram* program_;
-  int lanes_;
-  std::size_t carry_;        // pending-output count: n_taps - 1 (or 0)
-  std::vector<i64> regs_;    // slot file, slot-major: regs_[slot*lanes + l]
-  std::vector<i64> acc_;     // output window: carry_ + lanes entries used
+  std::vector<i64> window_;  // N-1 history samples, then up to kBlock new
   core::StageTimers timers_;
 };
 
@@ -60,9 +53,10 @@ class ExecEngine {
 /// streams. Channels fan out over the nesting-safe shared ThreadPool
 /// (threads <= 0 — the default — routes through MRPF_THREADS); each
 /// channel gets its own engine, so outputs are bit-identical to a serial
-/// loop regardless of thread count.
+/// loop regardless of thread count. A sample outside the proven width
+/// throws mrpf::Error naming its channel and index.
 std::vector<std::vector<i64>> run_batch(
     const ExecProgram& program, const std::vector<std::vector<i64>>& inputs,
-    int lanes = 0, int threads = 0);
+    int threads = 0);
 
 }  // namespace mrpf::exec

@@ -1,19 +1,18 @@
-// The compiled execution IR: a SynthPlan lowered for *software* instead of
-// hardware. Where lower_plan replays adder ops into an arch::AdderGraph to
-// be walked node by node per sample, the exec compiler flattens the same
-// ops into a register-slot program an inner loop can stream 8–16 samples
-// through at once:
+// The compiled execution program: a verified arch::TdfFilter reduced to
+// what a CPU needs to run it fast. The adder graph exists to save
+// hardware multipliers; a CPU multiplies in one instruction, so the
+// program keeps only the filter's effective direct-form coefficients
 //
-//   * dead-op elimination — ops no tap reaches are dropped entirely;
-//   * shift/negate fusion — each tap's wiring shift, output negation and
-//     per-tap alignment shift collapse into one fused ExecTap descriptor;
-//   * contiguous register-slot allocation — SSA node ids remap to a small
-//     slot file with lifetime-based reuse, so the working set stays inside
-//     L1 no matter how many nodes the plan held.
+//   h[k] = c[k] << align[k],      y[n] = Σ_k h[k] · x[n-k],
 //
-// The program is pure data (no graph pointers), so one compile serves any
-// number of concurrent streams — each ExecEngine owns only its slot file
-// and carry window.
+// folded when h is palindromic (every linear-phase catalog filter), so
+// the engine pays ⌈N/2⌉ multiplies per output instead of N. compile()
+// proves the adder graph realizes these coefficients before it drops the
+// graph, and proves the widest input for which unchecked 64-bit wrap
+// arithmetic is exact.
+//
+// The program is pure data, so one compile serves any number of
+// concurrent streams — each ExecEngine owns only its history window.
 #pragma once
 
 #include <cstddef>
@@ -25,50 +24,29 @@
 
 namespace mrpf::exec {
 
-/// One fused shift-add over register slots, evaluated lane-parallel:
-///   slot[dst] = (slot[a] << shift_a)  ±  (slot[b] << shift_b)
-/// dst may alias a or b (lanes are independent, read-then-write per lane).
-struct ExecOp {
-  int dst = 0;
-  int a = 0;
-  int b = 0;
-  int shift_a = 0;
-  int shift_b = 0;
-  bool subtract = false;
-};
-
-/// One fused output-tap descriptor: the contribution of tap `position` is
-///   p = (negate ? - : +) (slot value << shift)
-/// with `shift` the tap wiring shift plus the per-tap alignment shift
-/// (negative means dropping always-zero LSBs — exact by graph invariant).
-/// Zero taps never appear here: they contribute nothing and are elided at
-/// compile time.
-struct ExecTap {
-  int slot = 0;
-  int shift = 0;
-  bool negate = false;
-  std::size_t position = 0;  ///< Output delay index (0 = current sample).
-};
-
-/// A compiled, topologically scheduled execution program over int64 lanes.
+/// A compiled direct-form multiply-accumulate program.
 struct ExecProgram {
-  std::size_t n_taps = 0;  ///< Total tap positions, including zero taps.
-  int n_slots = 0;         ///< Register-slot file size after lifetime reuse.
-  int input_slot = 0;      ///< Slot the input sample block is loaded into.
-  std::vector<ExecOp> ops;   ///< Dead-op-free, in dependency order.
-  std::vector<ExecTap> taps; ///< Live taps, ascending position.
-
-  /// Source-graph op count before dead-op elimination (observability).
-  int source_ops = 0;
+  /// Effective coefficients h[k] = c[k] << align[k] (mod 2^64), one per
+  /// tap position, zero taps included.
+  std::vector<i64> coeffs;
+  /// h[k] == h[N-1-k] for every k: the engine adds mirrored samples first
+  /// and multiplies once per pair.
+  bool folded = false;
 
   /// Largest signed input width (bits) for which every intermediate —
-  /// node value, fused tap product, output partial sum — provably fits in
-  /// int64, so the engine's unchecked wrap arithmetic is exact. Inputs
-  /// wider than this must take the checked interpreter instead.
+  /// live adder-graph node value, tap product, output partial sum —
+  /// provably fits in int64. Engines accept samples with
+  /// |x| < 2^(max_input_bits-1) and throw on anything wider.
   int max_input_bits = 0;
 
   /// exec_compile filled by compile(); engines account exec_run locally.
   core::StageTimers timers;
+
+  std::size_t taps() const { return coeffs.size(); }
+  /// Multiplies per output sample: ⌈N/2⌉ when folded, N otherwise.
+  std::size_t macs_per_sample() const {
+    return folded ? (coeffs.size() + 1) / 2 : coeffs.size();
+  }
 };
 
 /// The per-stage JSON fragment the throughput bench embeds in

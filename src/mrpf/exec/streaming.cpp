@@ -29,11 +29,10 @@ ExecConfig exec_config_from_env() {
   if (!parsed.well_formed) {
     env::warn_once("MRPF_EXEC",
                    std::string("MRPF_EXEC: ignoring malformed value \"") +
-                       raw + "\" (want off|interp|vector|vector:N)");
+                       raw + "\" (want off|interp|vector)");
     return config;
   }
   config.mode = static_cast<ExecMode>(parsed.mode);
-  config.lanes = parsed.lanes;
   return config;
 }
 
@@ -48,7 +47,7 @@ StreamingFilter::StreamingFilter(arch::TdfFilter filter, ExecConfig config)
   if (config_.mode == ExecMode::kVector &&
       config_.input_bits <= program_.max_input_bits) {
     mode_ = ExecMode::kVector;
-    engine_ = std::make_unique<ExecEngine>(program_, config_.lanes);
+    engine_ = std::make_unique<ExecEngine>(program_);
   } else {
     mode_ = ExecMode::kInterp;
   }

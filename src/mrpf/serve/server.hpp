@@ -67,7 +67,7 @@ struct ServeConfig {
   /// so pass-on and pass-off plans never mix.
   bool xform = false;
   /// The one-shot startup snapshot of MRPF_THREADS / MRPF_CACHE /
-  /// MRPF_EXEC / MRPF_OPT_BUDGET / MRPF_XFORM_BUDGET. cache_disabled turns
+  /// MRPF_OPT_BUDGET / MRPF_XFORM_BUDGET. cache_disabled turns
   /// the solve cache (and with it coalescing) off entirely.
   env::KnobSnapshot knobs;
 };

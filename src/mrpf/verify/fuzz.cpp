@@ -477,14 +477,16 @@ CaseResult run_case(const FuzzCase& c, const FuzzConfig& config) {
         case Oracle::kExec: {
           const arch::TdfFilter& f = lowered_filter();
           Rng rng(stimulus_seed ^ 0xE6ECE6ECE6ECE6ECULL);
-          const std::vector<i64> x =
-              sim::uniform_stream(rng, config.sim_samples, c.input_bits);
+          // Two kernel blocks beyond the configured length, so the
+          // whole-stream push and the block-sized chunks below cross
+          // kernel block boundaries.
+          const std::vector<i64> x = sim::uniform_stream(
+              rng, config.sim_samples + 2 * exec::ExecEngine::kBlock,
+              c.input_bits);
           const std::vector<i64> expect = f.run(x);
 
           exec::ExecConfig ec;
           ec.input_bits = c.input_bits;
-          // Lane widths 3..16 cross the block boundary at varying offsets.
-          ec.lanes = static_cast<int>(3 + rng.next_below(14));
           exec::StreamingFilter sf(f, ec);
 
           // Whole-stream push on a fresh filter.
@@ -494,14 +496,20 @@ CaseResult run_case(const FuzzCase& c, const FuzzConfig& config) {
           }
 
           // Reset-replay in uneven chunks: state carried across push
-          // boundaries must reproduce the same stream.
+          // boundaries must reproduce the same stream. Chunks are short
+          // (1..7, inside the N-1 history) or straddle the kernel block
+          // (kBlock-3 .. kBlock+3), so block and history boundaries land
+          // at varying offsets.
           sf.reset();
           std::vector<i64> chunked;
           chunked.reserve(x.size());
           std::size_t at = 0;
           while (at < x.size()) {
-            const std::size_t take = std::min<std::size_t>(
-                x.size() - at, 1 + rng.next_below(7));
+            const std::size_t len =
+                rng.next_below(2) == 0
+                    ? 1 + rng.next_below(7)
+                    : exec::ExecEngine::kBlock - 3 + rng.next_below(7);
+            const std::size_t take = std::min<std::size_t>(x.size() - at, len);
             const std::vector<i64> part(
                 x.begin() + static_cast<std::ptrdiff_t>(at),
                 x.begin() + static_cast<std::ptrdiff_t>(at + take));

@@ -20,8 +20,9 @@
 //          the C++ model, sample for sample
 //   serde  serialize -> deserialize -> field-for-field plan equality and
 //          re-lowered block equivalence
-//   exec   compiled exec::StreamingFilter (varied lane width, uneven push
-//          chunking, reset-replay) vs. TdfFilter::run, sample for sample
+//   exec   compiled exec::StreamingFilter (whole-stream push, then a
+//          reset-replay in chunks that straddle the kernel block) vs.
+//          TdfFilter::run, sample for sample
 //   xform  pass-off-vs-pass-on equivalence: when the case enables the
 //          e-graph rewrite pass, the pre-pass plan must lower cleanly and
 //          stream-match the post-pass plan, and the pass must never have

@@ -40,6 +40,14 @@ using core::MrpResult;
 // The asymmetric 8-tap example of §3.5.
 const std::vector<i64> kPaperExample = {7, 66, 17, 9, 27, 41, 57, 11};
 
+/// The key the cache files an MRP-scheme solve under: the scheme (kMrp or
+/// kMrpCse) follows cse_on_seed and the spec is taken verbatim.
+u64 mrp_solve_key(const CanonicalBank& cb, const core::SolveSpec& spec) {
+  const core::Scheme scheme =
+      spec.cse_on_seed ? core::Scheme::kMrpCse : core::Scheme::kMrp;
+  return solve_key(cb.content_hash, SolveOptionsTag{scheme, spec});
+}
+
 /// A bank equivalent to `bank` under the MRP group: per-value power-of-two
 /// shifts and sign flips, injected zeros and shift-class duplicates, and a
 /// random permutation. Canonicalization must be invariant under all of it.
@@ -135,8 +143,8 @@ TEST(Fingerprint, CanonicalizationInvariantUnderEquivalence) {
       const CanonicalBank cb = canonicalize(equiv);
       ASSERT_EQ(cb.values, base.values);
       ASSERT_EQ(cb.content_hash, base.content_hash);
-      ASSERT_EQ(cache::solve_key(cb, MrpOptions{}),
-                cache::solve_key(base, MrpOptions{}));
+      ASSERT_EQ(mrp_solve_key(cb, MrpOptions{}),
+                mrp_solve_key(base, MrpOptions{}));
       // The back-transform must reconstruct every original coefficient
       // from its canonical primary.
       ASSERT_EQ(cb.refs.size(), equiv.size());
@@ -158,34 +166,34 @@ TEST(Fingerprint, CanonicalizationInvariantUnderEquivalence) {
 TEST(Fingerprint, OptionsChangeTheSolveKey) {
   const CanonicalBank cb = canonicalize(kPaperExample);
   const MrpOptions base;
-  const u64 key = cache::solve_key(cb, base);
+  const u64 key = mrp_solve_key(cb, base);
 
   MrpOptions opts = base;
   opts.l_max = base.l_max + 1;
-  EXPECT_NE(cache::solve_key(cb, opts), key);
+  EXPECT_NE(mrp_solve_key(cb, opts), key);
 
   opts = base;
   opts.beta = base.beta + 0.125;
-  EXPECT_NE(cache::solve_key(cb, opts), key);
+  EXPECT_NE(mrp_solve_key(cb, opts), key);
 
   opts = base;
   opts.cse_on_seed = !base.cse_on_seed;
-  EXPECT_NE(cache::solve_key(cb, opts), key);
+  EXPECT_NE(mrp_solve_key(cb, opts), key);
 
   opts = base;
   opts.recursive_levels = base.recursive_levels + 1;
-  EXPECT_NE(cache::solve_key(cb, opts), key);
+  EXPECT_NE(mrp_solve_key(cb, opts), key);
 
   // The bnb step budget is result-relevant (a larger budget can turn a
   // fallback into an exact win), so it is part of the fingerprint.
   opts = base;
   opts.opt_budget = 12345;
-  EXPECT_NE(cache::solve_key(cb, opts), key);
+  EXPECT_NE(mrp_solve_key(cb, opts), key);
 
   // Execution-strategy knobs are excluded: they do not change the result.
   opts = base;
   opts.use_reference_engine = true;
-  EXPECT_EQ(cache::solve_key(cb, opts), key);
+  EXPECT_EQ(mrp_solve_key(cb, opts), key);
 }
 
 TEST(SolveCacheTest, HitRehydratesFieldForField) {
@@ -959,8 +967,8 @@ TEST(Fingerprint, PassConfigSplitsTheKeySpace) {
   // Pass-on and pass-off solves must never share an entry, and the budget
   // is part of the pass-on key (different budgets can extract different
   // DAGs).
-  EXPECT_NE(solve_key(cb, off), solve_key(cb, on));
-  EXPECT_NE(solve_key(cb, on), solve_key(cb, other_budget));
+  EXPECT_NE(mrp_solve_key(cb, off), mrp_solve_key(cb, on));
+  EXPECT_NE(mrp_solve_key(cb, on), mrp_solve_key(cb, other_budget));
 }
 
 TEST(SolveCache, PassNamespacesServeDisjointHits) {

@@ -259,29 +259,24 @@ TEST(EnvKnobs, FlagGrammarRangeChecksInsteadOfClamping) {
 }
 
 TEST(EnvKnobs, ExecModeGrammarIsStrict) {
-  // MRPF_EXEC: exactly off | interp | vector | vector:N, words
-  // case-insensitive, N in the parse_positive_int grammar clamped to 64.
+  // MRPF_EXEC: exactly off | interp | vector, words case-insensitive.
   EXPECT_TRUE(env::parse_exec_mode("off").well_formed);
   EXPECT_EQ(env::parse_exec_mode("off").mode, 0);
   EXPECT_EQ(env::parse_exec_mode("OFF").mode, 0);
   EXPECT_EQ(env::parse_exec_mode("interp").mode, 1);
   EXPECT_EQ(env::parse_exec_mode("Interp").mode, 1);
   EXPECT_EQ(env::parse_exec_mode("vector").mode, 2);
-  EXPECT_EQ(env::parse_exec_mode("vector").lanes, 0);
-  EXPECT_EQ(env::parse_exec_mode("VECTOR:8").mode, 2);
-  EXPECT_EQ(env::parse_exec_mode("VECTOR:8").lanes, 8);
-  EXPECT_EQ(env::parse_exec_mode("vector:64").lanes, 64);
-  EXPECT_EQ(env::parse_exec_mode("vector:65").lanes, 64);  // clamped
+  EXPECT_TRUE(env::parse_exec_mode("VECTOR").well_formed);
+  // "vector:N" pinned a lane count the MAC engine no longer has.
   for (const char* bad :
        {"", "fast", "vec", "vector:", "vector:0", "vector:-2", "vector:8x",
         "vector: 8", "vector:8 ", " vector", "vector ", "off:4", "interp:2",
-        "vector:3.5", "vectorr:4"}) {
+        "vector:3.5", "vectorr:4", "vector:8", "VECTOR:8", "vector:64"}) {
     EXPECT_FALSE(env::parse_exec_mode(bad).well_formed) << '"' << bad << '"';
   }
   EXPECT_FALSE(env::parse_exec_mode(nullptr).well_formed);
-  // Malformed values still carry the defaults the caller falls back to.
+  // Malformed values still carry the default the caller falls back to.
   EXPECT_EQ(env::parse_exec_mode("bogus").mode, 2);
-  EXPECT_EQ(env::parse_exec_mode("bogus").lanes, 0);
 }
 
 TEST(EnvKnobs, EqualsIgnoreCaseAndWarnOnce) {
@@ -542,16 +537,12 @@ TEST(EnvKnobs, CacheKnobSharesTheSessionGrammar) {
 TEST(EnvKnobs, SnapshotReadsEveryKnobOnce) {
   ::setenv("MRPF_THREADS", "3", 1);
   ::setenv("MRPF_CACHE", "128", 1);
-  ::setenv("MRPF_EXEC", "vector:4", 1);
   const env::KnobSnapshot snap = env::snapshot_knobs();
   ::unsetenv("MRPF_THREADS");
   ::unsetenv("MRPF_CACHE");
-  ::unsetenv("MRPF_EXEC");
   EXPECT_EQ(snap.threads, 3);
   EXPECT_FALSE(snap.cache_disabled);
   EXPECT_EQ(snap.cache_max_bytes, std::size_t{128} << 20);
-  EXPECT_EQ(snap.exec_mode, 2);
-  EXPECT_EQ(snap.exec_lanes, 4);
   // The snapshot is a value: clearing the environment cannot reach it,
   // and a fresh snapshot sees the new (default) world.
   const env::KnobSnapshot fresh = env::snapshot_knobs();
@@ -593,7 +584,6 @@ TEST(EnvKnobs, ConcurrentFirstSnapshotsAgreeAndAreRaceFree) {
   // one consistent answer with no data race (TSan/ASan guard this test).
   ::setenv("MRPF_THREADS", "5", 1);
   ::setenv("MRPF_CACHE", "32", 1);
-  ::setenv("MRPF_EXEC", "interp", 1);
   constexpr int kThreads = 8;
   std::vector<env::KnobSnapshot> seen(kThreads);
   std::atomic<int> ready{0};
@@ -609,13 +599,10 @@ TEST(EnvKnobs, ConcurrentFirstSnapshotsAgreeAndAreRaceFree) {
   for (std::thread& t : threads) t.join();
   ::unsetenv("MRPF_THREADS");
   ::unsetenv("MRPF_CACHE");
-  ::unsetenv("MRPF_EXEC");
   for (const env::KnobSnapshot& s : seen) {
     EXPECT_EQ(s.threads, 5);
     EXPECT_FALSE(s.cache_disabled);
     EXPECT_EQ(s.cache_max_bytes, std::size_t{32} << 20);
-    EXPECT_EQ(s.exec_mode, 1);
-    EXPECT_EQ(s.exec_lanes, 0);
   }
 }
 

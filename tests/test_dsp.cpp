@@ -2,7 +2,9 @@
 // integer), frequency response, windows, linear algebra.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/rng.hpp"
@@ -14,6 +16,28 @@
 
 namespace mrpf::dsp {
 namespace {
+
+/// The pre-hoist reference implementation of fir_filter_exact: per-sample
+/// window clamp and per-tap alignment branch inside the loop. The
+/// differential baseline the hoisted production path is tested against.
+std::vector<i64> fir_filter_exact_reference(const std::vector<i64>& c,
+                                            const std::vector<int>& align,
+                                            const std::vector<i64>& x) {
+  std::vector<i64> y(x.size(), 0);
+  for (std::size_t n = 0; n < x.size(); ++n) {
+    i128 acc = 0;
+    const std::size_t kmax = std::min(c.size() - 1, n);
+    for (std::size_t k = 0; k <= kmax; ++k) {
+      const int sh = align.empty() ? 0 : align[k];
+      acc += static_cast<i128>(c[k]) * (static_cast<i128>(x[n - k]) << sh);
+    }
+    MRPF_CHECK(acc <= std::numeric_limits<i64>::max() &&
+                   acc >= std::numeric_limits<i64>::min(),
+               "fir_filter_exact_reference: accumulator overflows int64");
+    y[n] = static_cast<i64>(acc);
+  }
+  return y;
+}
 
 TEST(Fft, MatchesDirectDftOnRandomData) {
   Rng rng(3);

@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
       };
       std::vector<i64> expect;
       const double interp_ns = wall_ns([&] { expect = tdf.run(x); });
-      // Streaming path so the MRPF_EXEC knob (mode / lane pin) is honored.
+      // Streaming path so the MRPF_EXEC mode knob is honored.
       exec::ExecConfig config = exec::exec_config_from_env();
       config.input_bits = bits;
       exec::StreamingFilter sf(tdf, config);
@@ -300,10 +300,10 @@ int main(int argc, char** argv) {
       const double compiled_ns = wall_ns([&] { y = sf.push(x); });
       const bool same = y == expect;
       std::printf(
-          "exec bench  : %d->%zu ops, %d slots, %s x%d, B<=%d | %zu "
+          "exec bench  : %zu taps, %zu multiplies/sample, %s, B<=%d | %zu "
           "samples: interp %.0f ns, compiled %.0f ns (%.2fx) | %s\n",
-          program.source_ops, program.ops.size(), program.n_slots,
-          exec::to_string(sf.mode()), sf.lanes(), program.max_input_bits,
+          program.taps(), program.macs_per_sample(),
+          exec::to_string(sf.mode()), program.max_input_bits,
           x.size(), interp_ns, compiled_ns, interp_ns / compiled_ns,
           same ? "bit-identical" : "MISMATCH");
       if (!same) return 1;
