@@ -59,10 +59,7 @@ struct SchemeRun {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool ci_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--ci") ci_mode = true;
-  }
+  const bool ci_mode = bench::parse_ci_flag(argc, argv, "baseline_zoo");
   bench::print_header(
       ci_mode ? "Baseline zoo smoke (--ci) — reduced catalog, W=14 uniform"
               : "Baseline zoo — multiplier-block adders, W=14 uniform, "

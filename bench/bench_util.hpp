@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,21 @@ inline std::vector<i64> folded_bank(int i, int wordlength, bool maximal) {
       maximal ? number::quantize_maximal(h, wordlength)
               : number::quantize_uniform(h, wordlength);
   return core::optimization_bank(q.values());
+}
+
+/// Parses the command line of a bench whose only flag is `--ci`. Any other
+/// argument prints a usage line and exits 2, before the bench writes
+/// anything.
+inline bool parse_ci_flag(int argc, char** argv, const char* name) {
+  bool ci_mode = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--ci") != 0) {
+      std::fprintf(stderr, "usage: %s [--ci]\n", name);
+      std::exit(2);
+    }
+    ci_mode = true;
+  }
+  return ci_mode;
 }
 
 inline void print_header(const char* title) {

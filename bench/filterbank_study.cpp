@@ -29,7 +29,6 @@
 //    cover it.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -171,10 +170,7 @@ WorkloadRow measure(const std::string& name, const std::vector<i64>& c,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool ci_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0) ci_mode = true;
-  }
+  const bool ci_mode = bench::parse_ci_flag(argc, argv, "filterbank_study");
   bench::print_header(
       ci_mode ? "Filter-bank study smoke (--ci) — reduced workloads"
               : "Filter-bank study — per-branch vs shared-bank synthesis");

@@ -29,7 +29,6 @@
 //  - on single-coefficient banks bnb matches the ScmTable cost exactly
 //    whenever the table proves one (and is >= 4 on the ">3" sentinel).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -128,10 +127,7 @@ BankRow measure_bank(const std::string& name, const std::vector<i64>& bank,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool ci_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0) ci_mode = true;
-  }
+  const bool ci_mode = bench::parse_ci_flag(argc, argv, "opt_gap");
   bench::print_header(
       ci_mode ? "Optimality gap smoke (--ci) — reduced workloads"
               : "Optimality gap — exact bnb vs greedy MRPF(+CSE)");

@@ -115,10 +115,7 @@ bool same_plan_mrp(const core::SchemeResult& cached,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool ci_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--ci") ci_mode = true;
-  }
+  const bool ci_mode = bench::parse_ci_flag(argc, argv, "perf_cache_replay");
   const int catalog =
       ci_mode ? std::min(4, filter::catalog_size()) : filter::catalog_size();
   const int variants_per_bank = ci_mode ? 2 : 3;

@@ -121,10 +121,7 @@ bool all_same(const std::vector<core::MrpResult>& fresh,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool ci_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--ci") ci_mode = true;
-  }
+  const bool ci_mode = bench::parse_ci_flag(argc, argv, "perf_mrp_sweep");
   const int catalog =
       ci_mode ? std::min(4, filter::catalog_size()) : filter::catalog_size();
   if (ci_mode) g_reps = 2;

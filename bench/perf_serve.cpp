@@ -210,6 +210,11 @@ int main(int argc, char** argv) {
   int banks_per_phase = 12;
   int herd_classes = 3;
   int herd_requests = 48;
+  const auto usage = [] {
+    std::fprintf(stderr, "usage: perf_serve [--ci] [--tcp] "
+                         "[--connections N (1..64)]\n");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--ci") {
@@ -217,11 +222,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--tcp") {
       use_tcp = true;
     } else if (arg == "--connections" && i + 1 < argc) {
-      connections = std::atoi(argv[++i]);
+      char* end = nullptr;
+      const long n = std::strtol(argv[++i], &end, 10);
+      if (*end != '\0' || n < 1 || n > 64) return usage();
+      connections = static_cast<int>(n);
     } else {
-      std::fprintf(stderr, "usage: perf_serve [--ci] [--tcp] "
-                           "[--connections N]\n");
-      return 2;
+      return usage();
     }
   }
   if (ci_mode) {

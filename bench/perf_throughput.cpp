@@ -96,10 +96,7 @@ struct FilterRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool ci_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--ci") ci_mode = true;
-  }
+  const bool ci_mode = bench::parse_ci_flag(argc, argv, "perf_throughput");
   const int catalog =
       ci_mode ? std::min(4, filter::catalog_size()) : filter::catalog_size();
   const std::size_t n_samples = ci_mode ? (1u << 13) : (1u << 17);

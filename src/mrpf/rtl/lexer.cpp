@@ -1,11 +1,29 @@
 #include "mrpf/rtl/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
 
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/format.hpp"
 
 namespace mrpf::rtl {
+
+namespace {
+
+/// The decimal digits source[begin, end) as an i64.
+i64 parse_decimal(const std::string& source, std::size_t begin,
+                  std::size_t end, int line) {
+  i64 value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(source.data() + begin, source.data() + end, value);
+  if (ec != std::errc() || ptr != source.data() + end) {
+    throw Error(str_format("rtl lexer: number out of range at line %d",
+                           line));
+  }
+  return value;
+}
+
+}  // namespace
 
 std::vector<Token> tokenize(const std::string& source) {
   std::vector<Token> tokens;
@@ -47,7 +65,7 @@ std::vector<Token> tokenize(const std::string& source) {
       while (i < n && std::isdigit(static_cast<unsigned char>(source[i]))) {
         ++i;
       }
-      const i64 number = std::stoll(source.substr(start, i - start));
+      const i64 number = parse_decimal(source, start, i, line);
       if (peek() == '\'') {
         // Sized literal: N'sdV (only signed decimal is emitted).
         MRPF_CHECK(peek(1) == 's' && peek(2) == 'd',
@@ -59,9 +77,11 @@ std::vector<Token> tokenize(const std::string& source) {
           ++i;
         }
         MRPF_CHECK(i > vstart, "rtl lexer: sized literal missing value");
+        MRPF_CHECK(number >= 1 && number <= 64,
+                   "rtl lexer: sized literal width outside [1, 64]");
         Token t;
         t.kind = TokenKind::kSizedLiteral;
-        t.value = std::stoll(source.substr(vstart, i - vstart));
+        t.value = parse_decimal(source, vstart, i, line);
         t.width = static_cast<int>(number);
         t.line = line;
         tokens.push_back(std::move(t));

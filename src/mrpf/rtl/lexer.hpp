@@ -26,7 +26,8 @@ struct Token {
   int line = 0;
 };
 
-/// Tokenizes the whole input; throws mrpf::Error on malformed characters.
+/// Tokenizes the whole input; throws mrpf::Error on malformed characters,
+/// numbers that do not fit i64 and sized-literal widths outside [1, 64].
 std::vector<Token> tokenize(const std::string& source);
 
 }  // namespace mrpf::rtl

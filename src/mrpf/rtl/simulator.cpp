@@ -1,55 +1,56 @@
 #include "mrpf/rtl/simulator.hpp"
 
-#include <functional>
 #include <queue>
-#include <set>
 
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/format.hpp"
 
 namespace mrpf::rtl {
 
-namespace {
-
-/// Names referenced by an expression.
-void collect_refs(const Expr& e, std::set<std::string>& out) {
-  if (e.kind == ExprKind::kRef) out.insert(e.name);
-  if (e.a != nullptr) collect_refs(*e.a, out);
-  if (e.b != nullptr) collect_refs(*e.b, out);
-}
-
-}  // namespace
-
-Simulator::Simulator(Module module) : module_(std::move(module)) {
-  // Zero-init every net and port.
-  for (const Port& p : module_.ports) values_[p.net.name] = 0;
-  for (const Net& n : module_.nets) values_[n.name] = 0;
+Simulator::Simulator(const Module& module) {
+  // Dense indices: ports first, then internal nets, in declaration order.
+  std::vector<bool> is_reg;
+  const auto declare = [&](const Net& net, bool is_input) {
+    MRPF_CHECK(index_.emplace(net.name, static_cast<int>(slots_.size()))
+                   .second,
+               str_format("rtl sim: net '%s' declared twice",
+                          net.name.c_str()));
+    MRPF_CHECK(net.width >= 1 && net.width <= 64,
+               str_format("rtl sim: net '%s' width out of range",
+                          net.name.c_str()));
+    const u64 mask = net.width == 64 ? ~u64{0} : (u64{1} << net.width) - 1;
+    const u64 sign = net.is_signed ? u64{1} << (net.width - 1) : 0;
+    slots_.push_back({mask, sign});
+    is_input_.push_back(is_input);
+    is_reg.push_back(net.is_reg);
+  };
+  for (const Port& p : module.ports) declare(p.net, p.dir == PortDir::kInput);
+  for (const Net& n : module.nets) declare(n, false);
+  values_.assign(slots_.size(), 0);
 
   // Topological order of continuous assigns: an assign depends on another
   // assign whose lhs it references. Registers and ports are state.
-  const std::size_t n_assigns = module_.assigns.size();
-  std::map<std::string, int> producer;
+  const std::size_t n_assigns = module.assigns.size();
+  std::vector<int> producer(slots_.size(), -1);
+  std::vector<Program> compiled;
+  std::vector<std::vector<int>> refs(n_assigns);
   for (std::size_t i = 0; i < n_assigns; ++i) {
-    const auto [it, inserted] =
-        producer.emplace(module_.assigns[i].lhs, static_cast<int>(i));
-    MRPF_CHECK(inserted, "rtl sim: net driven by multiple assigns");
-    const Net* net = module_.find_net(module_.assigns[i].lhs);
-    MRPF_CHECK(net != nullptr, "rtl sim: assign to undeclared net");
-    MRPF_CHECK(!net->is_reg, "rtl sim: continuous assign to a reg");
+    const Assign& a = module.assigns[i];
+    const int lhs = index_of(a.lhs);
+    MRPF_CHECK(producer[static_cast<std::size_t>(lhs)] < 0,
+               "rtl sim: net driven by multiple assigns");
+    MRPF_CHECK(!is_reg[static_cast<std::size_t>(lhs)],
+               "rtl sim: continuous assign to a reg");
+    producer[static_cast<std::size_t>(lhs)] = static_cast<int>(i);
+    compiled.push_back(compile(lhs, *a.rhs, &refs[i]));
   }
   std::vector<std::vector<int>> consumers(n_assigns);
   std::vector<int> indegree(n_assigns, 0);
   for (std::size_t i = 0; i < n_assigns; ++i) {
-    std::set<std::string> refs;
-    collect_refs(*module_.assigns[i].rhs, refs);
-    for (const std::string& r : refs) {
-      MRPF_CHECK(values_.contains(r),
-                 str_format("rtl sim: reference to undeclared net '%s'",
-                            r.c_str()));
-      const auto it = producer.find(r);
-      if (it != producer.end()) {
-        consumers[static_cast<std::size_t>(it->second)].push_back(
-            static_cast<int>(i));
+    for (const int r : refs[i]) {
+      const int p = producer[static_cast<std::size_t>(r)];
+      if (p >= 0) {
+        consumers[static_cast<std::size_t>(p)].push_back(static_cast<int>(i));
         ++indegree[i];
       }
     }
@@ -61,104 +62,159 @@ Simulator::Simulator(Module module) : module_(std::move(module)) {
   while (!ready.empty()) {
     const int a = ready.front();
     ready.pop();
-    assign_order_.push_back(a);
+    assigns_.push_back(compiled[static_cast<std::size_t>(a)]);
     for (const int c : consumers[static_cast<std::size_t>(a)]) {
       if (--indegree[static_cast<std::size_t>(c)] == 0) ready.push(c);
     }
   }
-  MRPF_CHECK(assign_order_.size() == n_assigns,
+  MRPF_CHECK(assigns_.size() == n_assigns,
              "rtl sim: combinational cycle in continuous assigns");
-}
 
-i64 Simulator::truncate(const std::string& net_name, i64 value) const {
-  const Net* net = module_.find_net(net_name);
-  MRPF_CHECK(net != nullptr, "rtl sim: truncate on undeclared net");
-  const int w = net->width;
-  if (w >= 63) return value;
-  const u64 mask = (u64{1} << w) - 1;
-  u64 bits = static_cast<u64>(value) & mask;
-  if (net->is_signed && (bits & (u64{1} << (w - 1))) != 0) {
-    bits |= ~mask;  // sign-extend
+  for (const SeqAssign& sa : module.seq) {
+    const int lhs = index_of(sa.lhs);
+    MRPF_CHECK(is_reg[static_cast<std::size_t>(lhs)],
+               str_format("rtl sim: clocked assign to wire '%s'",
+                          sa.lhs.c_str()));
+    reset_.push_back(compile(lhs, *sa.reset_rhs, nullptr));
+    clock_.push_back(compile(lhs, *sa.clock_rhs, nullptr));
   }
-  return static_cast<i64>(bits);
+  next_.resize(module.seq.size());
 }
 
-i64 Simulator::eval(const Expr& e) const {
+int Simulator::index_of(const std::string& name) const {
+  const auto it = index_.find(name);
+  MRPF_CHECK(it != index_.end(),
+             str_format("rtl sim: reference to undeclared net '%s'",
+                        name.c_str()));
+  return it->second;
+}
+
+Simulator::Program Simulator::compile(int lhs, const Expr& rhs,
+                                      std::vector<int>* refs) {
+  const auto begin = static_cast<std::uint32_t>(code_.size());
+  emit(rhs, 0, refs);
+  return {lhs, begin, static_cast<std::uint32_t>(code_.size())};
+}
+
+void Simulator::emit(const Expr& e, int depth, std::vector<int>* refs) {
+  // `depth` values are on the stack below this expression's result.
+  if (stack_.size() < static_cast<std::size_t>(depth) + 1) {
+    stack_.resize(static_cast<std::size_t>(depth) + 1);
+  }
   switch (e.kind) {
     case ExprKind::kConst:
-      return e.value;
+      code_.push_back({Op::kConst, static_cast<u64>(e.value)});
+      return;
     case ExprKind::kRef: {
-      const auto it = values_.find(e.name);
-      MRPF_CHECK(it != values_.end(), "rtl sim: read of undeclared net");
-      return it->second;
+      const int net = index_of(e.name);
+      if (refs != nullptr) refs->push_back(net);
+      code_.push_back({Op::kRef, static_cast<u64>(net)});
+      return;
     }
     case ExprKind::kNegate:
-      return -eval(*e.a);
+      emit(*e.a, depth, refs);
+      code_.push_back({Op::kNeg, 0});
+      return;
     case ExprKind::kShiftLeft:
-      return eval(*e.a) << e.value;
     case ExprKind::kShiftRight:
-      return eval(*e.a) >> e.value;  // arithmetic on signed i64
+      MRPF_CHECK(e.value >= 0 && e.value < 64,
+                 str_format("rtl sim: shift amount %lld outside [0, 63]",
+                            static_cast<long long>(e.value)));
+      emit(*e.a, depth, refs);
+      code_.push_back({e.kind == ExprKind::kShiftLeft ? Op::kShl : Op::kShr,
+                       static_cast<u64>(e.value)});
+      return;
     case ExprKind::kAdd:
-      return eval(*e.a) + eval(*e.b);
     case ExprKind::kSub:
-      return eval(*e.a) - eval(*e.b);
+      emit(*e.a, depth, refs);
+      emit(*e.b, depth + 1, refs);
+      code_.push_back({e.kind == ExprKind::kAdd ? Op::kAdd : Op::kSub, 0});
+      return;
   }
   throw Error("rtl sim: unknown expression kind");
 }
 
-void Simulator::set_input(const std::string& name, i64 value) {
-  bool found = false;
-  for (const Port& p : module_.ports) {
-    if (p.net.name == name) {
-      MRPF_CHECK(p.dir == PortDir::kInput, "rtl sim: set on output port");
-      found = true;
-      break;
+u64 Simulator::eval(const Program& p) {
+  u64* sp = stack_.data();
+  const Instr* const end = code_.data() + p.end;
+  for (const Instr* in = code_.data() + p.begin; in != end; ++in) {
+    switch (in->op) {
+      case Op::kConst:
+        *sp++ = in->arg;
+        break;
+      case Op::kRef:
+        *sp++ = static_cast<u64>(values_[in->arg]);
+        break;
+      case Op::kNeg:
+        sp[-1] = 0 - sp[-1];
+        break;
+      case Op::kShl:
+        sp[-1] <<= in->arg;
+        break;
+      case Op::kShr:  // arithmetic
+        sp[-1] = static_cast<u64>(static_cast<i64>(sp[-1]) >> in->arg);
+        break;
+      case Op::kAdd:
+        --sp;
+        sp[-1] += *sp;
+        break;
+      case Op::kSub:
+        --sp;
+        sp[-1] -= *sp;
+        break;
     }
   }
-  MRPF_CHECK(found, str_format("rtl sim: no input port '%s'", name.c_str()));
-  values_[name] = truncate(name, value);
+  return sp[-1];
+}
+
+void Simulator::write(int net, u64 value) {
+  const Slot& s = slots_[static_cast<std::size_t>(net)];
+  values_[static_cast<std::size_t>(net)] =
+      static_cast<i64>(((value & s.mask) ^ s.sign) - s.sign);
+}
+
+void Simulator::set_input(const std::string& name, i64 value) {
+  const auto it = index_.find(name);
+  MRPF_CHECK(it != index_.end() &&
+                 is_input_[static_cast<std::size_t>(it->second)],
+             str_format("rtl sim: no input port '%s'", name.c_str()));
+  write(it->second, static_cast<u64>(value));
 }
 
 void Simulator::settle() {
-  for (const int i : assign_order_) {
-    const Assign& a = module_.assigns[static_cast<std::size_t>(i)];
-    values_[a.lhs] = truncate(a.lhs, eval(*a.rhs));
-  }
+  for (const Program& p : assigns_) write(p.lhs, eval(p));
 }
 
 void Simulator::clock_edge(bool reset) {
   // Non-blocking semantics: evaluate all rhs first, then commit.
-  std::vector<i64> next;
-  next.reserve(module_.seq.size());
-  for (const SeqAssign& sa : module_.seq) {
-    next.push_back(eval(reset ? *sa.reset_rhs : *sa.clock_rhs));
+  const std::vector<Program>& programs = reset ? reset_ : clock_;
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    next_[i] = eval(programs[i]);
   }
-  for (std::size_t i = 0; i < module_.seq.size(); ++i) {
-    values_[module_.seq[i].lhs] =
-        truncate(module_.seq[i].lhs, next[i]);
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    write(programs[i].lhs, next_[i]);
   }
   settle();
 }
 
 i64 Simulator::get(const std::string& name) const {
-  const auto it = values_.find(name);
-  MRPF_CHECK(it != values_.end(),
-             str_format("rtl sim: no net '%s'", name.c_str()));
-  return it->second;
+  return values_[static_cast<std::size_t>(index_of(name))];
 }
 
 std::vector<i64> Simulator::run_filter(const std::vector<i64>& x) {
-  MRPF_CHECK(module_.has_clock(), "rtl sim: module has no clocked block");
+  MRPF_CHECK(!clock_.empty(), "rtl sim: module has no clocked block");
   set_input("x", 0);
+  const int x_net = index_of("x");
+  const auto y_net = static_cast<std::size_t>(index_of("y"));
   settle();
   clock_edge(/*reset=*/true);
   std::vector<i64> y;
   y.reserve(x.size());
   for (const i64 sample : x) {
-    set_input("x", sample);
+    write(x_net, static_cast<u64>(sample));
     settle();
     clock_edge(/*reset=*/false);
-    y.push_back(get("y"));
+    y.push_back(values_[y_net]);
   }
   return y;
 }
@@ -168,9 +224,9 @@ std::vector<i64> Simulator::run_block(i64 x) {
   settle();
   std::vector<i64> out;
   for (std::size_t i = 0;; ++i) {
-    const std::string name = str_format("p%zu", i);
-    if (module_.find_net(name) == nullptr) break;
-    out.push_back(get(name));
+    const auto it = index_.find(str_format("p%zu", i));
+    if (it == index_.end()) break;
+    out.push_back(values_[static_cast<std::size_t>(it->second)]);
   }
   return out;
 }

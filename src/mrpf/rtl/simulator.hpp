@@ -1,12 +1,18 @@
 // Event-free two-phase simulator for parsed modules: continuous assigns
 // settle in dependency order, registers update on an explicit clock edge,
 // every write truncates to the declared net width with Verilog signed
-// semantics. Deliberately faithful rather than fast — its job is to
-// certify the emitted Verilog against the C++ architecture model.
+// semantics. Its job is to certify the emitted Verilog against the C++
+// architecture model, so it runs every sample of a stream: the constructor
+// resolves every name once, giving each port and net a dense index and
+// compiling each assign into a flat postfix program over those indices, so
+// simulating a sample does no string work. Arithmetic wraps in u64 and
+// truncates on write, which equals i64 evaluation wherever that does not
+// overflow.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "mrpf/rtl/ast.hpp"
@@ -15,7 +21,11 @@ namespace mrpf::rtl {
 
 class Simulator {
  public:
-  explicit Simulator(Module module);
+  /// Resolves and compiles `module`. Throws mrpf::Error on a net declared
+  /// twice, a reference or assignment to an undeclared net, a net driven
+  /// by two assigns, a continuous assign to a reg, a clocked assign to a
+  /// wire, a shift amount outside [0, 63] or a combinational cycle.
+  explicit Simulator(const Module& module);
 
   /// Drives an input port (value truncated to the port width).
   void set_input(const std::string& name, i64 value);
@@ -39,15 +49,42 @@ class Simulator {
   /// settles, and returns every p output in index order.
   std::vector<i64> run_block(i64 x);
 
-  const Module& module() const { return module_; }
-
  private:
-  i64 eval(const Expr& e) const;
-  i64 truncate(const std::string& net, i64 value) const;
+  enum class Op : std::uint8_t { kConst, kRef, kNeg, kShl, kShr, kAdd, kSub };
+  struct Instr {
+    Op op;
+    u64 arg;  // kConst: value bits; kRef: net index; kShl/kShr: amount
+  };
+  /// One compiled assignment: code_[begin, end) leaves the rhs on the
+  /// stack, and the result is written to net `lhs`.
+  struct Program {
+    int lhs;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+  /// Truncation of one net: keep `mask`, sign-extend from `sign` (0 for
+  /// an unsigned net).
+  struct Slot {
+    u64 mask;
+    u64 sign;
+  };
 
-  Module module_;
-  std::map<std::string, i64> values_;
-  std::vector<int> assign_order_;  // indices into module_.assigns
+  int index_of(const std::string& name) const;
+  Program compile(int lhs, const Expr& rhs, std::vector<int>* refs);
+  void emit(const Expr& e, int depth, std::vector<int>* refs);
+  u64 eval(const Program& p);
+  void write(int net, u64 value);
+
+  std::unordered_map<std::string, int> index_;
+  std::vector<Slot> slots_;
+  std::vector<i64> values_;
+  std::vector<bool> is_input_;
+  std::vector<Instr> code_;
+  std::vector<Program> assigns_;  // topological order
+  std::vector<Program> reset_;
+  std::vector<Program> clock_;
+  std::vector<u64> stack_;
+  std::vector<u64> next_;  // clock_edge's register values before commit
 };
 
 }  // namespace mrpf::rtl

@@ -133,9 +133,11 @@ struct FuzzConfig {
   bool force_xform = false;
   /// Corrupt every generated plan with this fault (kNone = fuzz honestly).
   FaultKind inject = FaultKind::kNone;
-  /// Samples per stimulus for the sim oracle and the RTL oracle.
+  /// Samples per stimulus for the sim oracle and the RTL oracle. Both are
+  /// several times the longest generated bank (16 taps), so each checks
+  /// the filled delay line too.
   std::size_t sim_samples = 96;
-  std::size_t rtl_samples = 48;
+  std::size_t rtl_samples = 96;
   /// Cap on shrink-candidate evaluations per failure.
   std::size_t shrink_budget = 2000;
 };

@@ -4,10 +4,14 @@
 // unit-tests the lexer/parser/simulator in isolation.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "mrpf/arch/verilog.hpp"
 #include "mrpf/common/error.hpp"
 #include "mrpf/common/rng.hpp"
 #include "mrpf/core/flow.hpp"
+#include "mrpf/dsp/convolve.hpp"
 #include "mrpf/filter/catalog.hpp"
 #include "mrpf/number/quantize.hpp"
 #include "mrpf/rtl/lexer.hpp"
@@ -44,6 +48,26 @@ TEST(RtlLexer, SkipsCommentsAndRejectsGarbage) {
   EXPECT_EQ(tokens[1].text, "b");
   EXPECT_EQ(tokens[1].line, 2);
   EXPECT_THROW(tokenize("a $ b"), Error);
+}
+
+TEST(RtlLexer, RejectsOversizedPlainNumber) {
+  EXPECT_NO_THROW(tokenize("assign p0 = 9223372036854775807;"));
+  EXPECT_THROW(tokenize("assign p0 = 9223372036854775808;"), Error);
+  EXPECT_THROW(parse_module("module m (output signed [7:0] p0);\n"
+                            "  assign p0 = 99999999999999999999;\n"
+                            "endmodule\n"),
+               Error);
+}
+
+TEST(RtlLexer, RejectsOversizedSizedLiteral) {
+  EXPECT_NO_THROW(tokenize("64'sd9223372036854775807"));
+  EXPECT_THROW(tokenize("64'sd99999999999999999999"), Error);
+  EXPECT_THROW(tokenize("99999999999999999999'sd1"), Error);
+  EXPECT_THROW(tokenize("65'sd1"), Error);
+  EXPECT_THROW(parse_module("module m (output signed [7:0] p0);\n"
+                            "  assign p0 = 8'sd99999999999999999999;\n"
+                            "endmodule\n"),
+               Error);
 }
 
 constexpr const char* kTinyModule = R"(
@@ -113,6 +137,167 @@ endmodule
   EXPECT_THROW(Simulator sim(parse_module(cyclic)), Error);
 }
 
+/// The message of the mrpf::Error that constructing a simulator for
+/// `source` throws, or "" when it does not throw.
+std::string construction_error(const char* source) {
+  try {
+    Simulator sim(parse_module(source));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RtlSimulator, RejectsDuplicateDeclarations) {
+  const std::string twice = construction_error(R"(
+module dup (input signed [7:0] x, output signed [7:0] p0);
+  wire signed [7:0] t;
+  wire signed [15:0] t;
+  assign t = x;
+  assign p0 = t;
+endmodule
+)");
+  EXPECT_NE(twice.find("'t' declared twice"), std::string::npos) << twice;
+  const std::string port = construction_error(R"(
+module dup (input signed [7:0] x, output signed [7:0] p0);
+  wire signed [3:0] x;
+  assign p0 = x;
+endmodule
+)");
+  EXPECT_NE(port.find("'x' declared twice"), std::string::npos) << port;
+}
+
+TEST(RtlSimulator, RejectsOutOfRangeShifts) {
+  const std::string left = construction_error(R"(
+module big (input signed [7:0] x, output signed [7:0] p0);
+  assign p0 = x <<< 200;
+endmodule
+)");
+  EXPECT_NE(left.find("shift amount 200"), std::string::npos) << left;
+  const std::string right = construction_error(R"(
+module big (input signed [7:0] x, output signed [7:0] p0);
+  assign p0 = x >>> 64;
+endmodule
+)");
+  EXPECT_NE(right.find("shift amount 64"), std::string::npos) << right;
+  EXPECT_EQ(construction_error(R"(
+module edge (input signed [7:0] x, output signed [7:0] p0);
+  assign p0 = (x <<< 63) + (x >>> 63);
+endmodule
+)"),
+            "");
+}
+
+TEST(RtlSimulator, RejectsMisplacedAssignments) {
+  EXPECT_NE(construction_error(R"(
+module m (input signed [7:0] x, output signed [7:0] p0);
+  assign p0 = x;
+  assign p0 = x + x;
+endmodule
+)").find("multiple assigns"),
+            std::string::npos);
+  EXPECT_NE(construction_error(R"(
+module m (input signed [7:0] x, output signed [7:0] p0);
+  assign p0 = q;
+endmodule
+)").find("undeclared net 'q'"),
+            std::string::npos);
+  EXPECT_NE(construction_error(R"(
+module m (input clk, input rst, input signed [7:0] x,
+          output signed [7:0] y);
+  reg signed [7:0] r0;
+  assign r0 = x;
+  assign y = r0;
+endmodule
+)").find("continuous assign to a reg"),
+            std::string::npos);
+  EXPECT_NE(construction_error(R"(
+module m (input clk, input rst, input signed [7:0] x,
+          output signed [7:0] y);
+  wire signed [7:0] w;
+  always @(posedge clk) begin
+    if (rst) begin
+      w <= 0;
+    end else begin
+      w <= x;
+    end
+  end
+  assign y = w;
+endmodule
+)").find("clocked assign to wire 'w'"),
+            std::string::npos);
+}
+
+/// `v` truncated to `w` bits and sign-extended.
+i64 sext(u64 v, int w) {
+  return static_cast<i64>(v << (64 - w)) >> (64 - w);
+}
+
+TEST(RtlSimulator, TruncatesAtWidths62And63) {
+  Simulator sim(parse_module(R"(
+module widths (input signed [62:0] x, output signed [61:0] p0,
+               output signed [62:0] p1, output [62:0] p2);
+  assign p0 = x;
+  assign p1 = x + x;
+  assign p2 = x + x;
+endmodule
+)"));
+  const i64 max63 = (i64{1} << 62) - 1;
+  // An i64 input wider than the 63-bit port wraps into it.
+  sim.set_input("x", std::numeric_limits<i64>::max());
+  sim.settle();
+  EXPECT_EQ(sim.get("x"), -1);
+  EXPECT_EQ(sim.get("p0"), -1);
+  for (const i64 x : {max63, -max63 - 1, i64{1} << 61, -(i64{1} << 61) - 1,
+                      i64{-1}, i64{5}}) {
+    sim.set_input("x", x);
+    sim.settle();
+    ASSERT_EQ(sim.get("x"), x);
+    const u64 twice = static_cast<u64>(x) * 2;
+    EXPECT_EQ(sim.get("p0"), sext(static_cast<u64>(x), 62)) << x;
+    EXPECT_EQ(sim.get("p1"), sext(twice, 63)) << x;
+    EXPECT_EQ(sim.get("p2"), static_cast<i64>(twice & ((u64{1} << 63) - 1)))
+        << x;
+  }
+}
+
+// Every operator overflows i64 here. The simulator wraps in u64 and
+// truncates on write, so this must run clean under UBSan and match the
+// same arithmetic done by hand.
+TEST(RtlSimulator, HostileOverflowingModuleWraps) {
+  Simulator sim(parse_module(R"(
+module hostile (input signed [62:0] x, output signed [62:0] p0,
+                output signed [62:0] p1, output signed [62:0] p2,
+                output [62:0] p3);
+  wire signed [62:0] t;
+  assign t = (x <<< 63) - x - x - x - 9223372036854775807;
+  assign p0 = x + x + x + 9223372036854775807 + 9223372036854775807;
+  assign p1 = -(-(x <<< 62) - (x <<< 62)) - (0 - 9223372036854775807 - 1);
+  assign p2 = (t >>> 61) + (t <<< 40) + 63'sd9223372036854775807;
+  assign p3 = -x;
+endmodule
+)"));
+  const u64 big = static_cast<u64>(std::numeric_limits<i64>::max());
+  for (const i64 x : {(i64{1} << 62) - 1, -(i64{1} << 62), i64{-1}, i64{0},
+                      i64{12345}}) {
+    sim.set_input("x", x);
+    sim.settle();
+    const u64 ux = static_cast<u64>(x);
+    const i64 t = sext((ux << 63) - ux - ux - ux - big, 63);
+    const u64 ut = static_cast<u64>(t);
+    EXPECT_EQ(sim.get("t"), t) << x;
+    EXPECT_EQ(sim.get("p0"), sext(ux + ux + ux + big + big, 63)) << x;
+    EXPECT_EQ(sim.get("p1"),
+              sext((0 - ((0 - (ux << 62)) - (ux << 62))) - (0 - big - 1), 63))
+        << x;
+    EXPECT_EQ(sim.get("p2"),
+              sext(static_cast<u64>(t >> 61) + (ut << 40) + big, 63))
+        << x;
+    EXPECT_EQ(sim.get("p3"), static_cast<i64>((0 - ux) & ((u64{1} << 63) - 1)))
+        << x;
+  }
+}
+
 TEST(RtlRoundTrip, MultiplierBlocksMatchAcrossSchemes) {
   Rng rng(0xBEEF);
   for (const auto scheme :
@@ -173,6 +358,37 @@ TEST_P(RtlCatalog, EmittedRtlMatchesModel) {
 
 INSTANTIATE_TEST_SUITE_P(SmallCatalog, RtlCatalog,
                          ::testing::Values(0, 2, 4, 6));
+
+// The benchmark's stream filters: every catalog design quantized with
+// maximal scaling to W = 16, under mrpf and simple, re-simulated at 16-bit
+// input on a stream long enough to fill each delay line several times.
+class RtlW16Catalog
+    : public ::testing::TestWithParam<std::tuple<int, core::Scheme>> {};
+
+TEST_P(RtlW16Catalog, EmittedRtlMatchesExactFir) {
+  const auto [index, scheme] = GetParam();
+  const auto q = mrpf::number::quantize_maximal(
+      mrpf::filter::catalog_coefficients(index), 16);
+  const arch::TdfFilter filter = core::build_tdf(q, scheme);
+  Simulator sim(parse_module(arch::emit_tdf_filter(filter, 16, "fir_w16")));
+  Rng rng(static_cast<std::uint64_t>(index) * 2 + 1);
+  const std::vector<i64> x = sim::uniform_stream(rng, 1024, 16);
+  ASSERT_GT(x.size(), 4 * filter.coefficients().size());
+  ASSERT_EQ(sim.run_filter(x),
+            dsp::fir_filter_exact(filter.coefficients(), filter.alignment(),
+                                  x));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSpecs, RtlW16Catalog,
+    ::testing::Combine(::testing::Range(0, mrpf::filter::catalog_size()),
+                       ::testing::Values(core::Scheme::kMrp,
+                                         core::Scheme::kSimple)),
+    [](const auto& info) {
+      return "Ex" + std::to_string(std::get<0>(info.param) + 1) + "_" +
+             (std::get<1>(info.param) == core::Scheme::kMrp ? "mrpf"
+                                                            : "simple");
+    });
 
 TEST(RtlRoundTrip, AlignedTdfFilterMatches) {
   // Maximal-scaling alignment shifts appear inside the tap expressions.
